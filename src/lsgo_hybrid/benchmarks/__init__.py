@@ -10,9 +10,6 @@ from .instance import (
     make_instance,
 )
 from .transforms import (
-    Block,
-    TransformPipeline,
-    apply_pipeline,
     conditioning_weights,
     oscillate,
     random_orthogonal,
@@ -29,9 +26,6 @@ __all__ = [
     "from_descriptor",
     "from_json",
     "make_instance",
-    "Block",
-    "TransformPipeline",
-    "apply_pipeline",
     "conditioning_weights",
     "oscillate",
     "random_orthogonal",

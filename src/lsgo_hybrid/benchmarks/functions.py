@@ -29,11 +29,15 @@ def sphere(z: np.ndarray) -> float:
     return float(np.dot(z, z))
 
 
-def elliptic(z: np.ndarray) -> float:
-    """Weighted sphere with condition number 1e6 across coordinates."""
-    n = z.size
-    w = elliptic_weights(n)
-    return float(np.dot(w, z * z))
+def elliptic(z: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """Weighted sphere with condition number 1e6 across coordinates.
+
+    `weights`, when given, must equal `elliptic_weights(z.size)`; instances
+    pass them precomputed.
+    """
+    if weights is None:
+        weights = elliptic_weights(z.size)
+    return float(np.dot(weights, z * z))
 
 
 def elliptic_weights(n: int) -> np.ndarray:

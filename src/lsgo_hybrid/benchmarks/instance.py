@@ -11,6 +11,14 @@ Fifteen function ids cover five structural families:
 Instances are self-generated from (function_id, dimension, seed) alone and
 are bit-identical across calls with the same triple. Every instance knows a
 preimage of its optimum, and evaluating there gives a value <= 1e-6.
+
+Evaluation has one x -> z path. `_prepare` lays every block's coordinates
+end to end in one buffer (subcomponents first, then the tail; shared
+coordinates of the overlapping chains appear once per block) and
+precomputes the gather index, shifts, skew slopes, conditioning weights and
+elliptic weights in that layout. One evaluation gathers and shifts x into
+the buffer, rotates each rotated block in place, runs the scalar maps once
+over the whole buffer, and sums the weighted base function of each block.
 """
 
 from __future__ import annotations
@@ -18,18 +26,18 @@ from __future__ import annotations
 import base64
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .functions import _DISPATCH, BOUNDS, eval_base
+from .functions import _DISPATCH, BOUNDS, elliptic, elliptic_weights
 from .transforms import (
-    Block,
-    TransformPipeline,
+    _gradient,
     conditioning_weights,
     oscillate,
     random_orthogonal,
-    skew,
+    skew_graded,
 )
 
 _DESCRIPTOR_FORMAT = "lsgo-hybrid-instance/1"
@@ -169,8 +177,6 @@ class Subcomponent:
     weight: float
     rotation: np.ndarray | None = None
     local_shift: np.ndarray | None = None
-    _fn: object = field(default=None, repr=False)
-    _cond: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def stop(self) -> int:
@@ -210,16 +216,40 @@ class BenchmarkInstance:
     # construction helpers
 
     def _prepare(self):
-        cond_cache: dict[int, np.ndarray] = {}
+        """Precompute the fused x -> z layout; see the module docstring.
+
+        Everything is stored as plain arrays and tuples on the instance:
+        nothing here may refer back to `self`, or discarded instances would
+        wait for the cyclic garbage collector.
+        """
         parts = list(self.subcomponents) + ([self.tail] if self.tail else [])
-        for sub in parts:
-            sub._fn = _DISPATCH[sub.base]
-            if self.conditioning_alpha != 1.0:
-                cond = cond_cache.get(sub.size)
-                if cond is None:
-                    cond = conditioning_weights(sub.size, self.conditioning_alpha)
-                    cond_cache[sub.size] = cond
-                sub._cond = cond
+        ends = np.cumsum([p.size for p in parts]).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        self._gather = np.concatenate([self.permutation[p.start : p.stop] for p in parts])
+        self._shift = None if self.shift is None else self.shift[self._gather]
+        self._local_shift = None
+        if any(p.local_shift is not None for p in parts):
+            self._local_shift = np.concatenate([
+                p.local_shift if p.local_shift is not None else np.zeros(p.size)
+                for p in parts
+            ])
+        self._rotations = None
+        if any(p.rotation is not None for p in parts):
+            self._rotations = [(a, b, p.rotation) for (a, b), p in zip(spans, parts)]
+        self._slope = None
+        if self.asymmetry_beta:
+            self._slope = self.asymmetry_beta * np.concatenate(
+                [_gradient(p.size) for p in parts])
+        self._cond = None
+        if self.conditioning_alpha != 1.0:
+            self._cond = np.concatenate(
+                [conditioning_weights(p.size, self.conditioning_alpha) for p in parts])
+        self._terms = []
+        for (a, b), p in zip(spans, parts):
+            fn = _DISPATCH[p.base]
+            if fn is elliptic:
+                fn = partial(elliptic, weights=elliptic_weights(p.size))
+            self._terms.append((a, b, p.weight, fn))
 
     def _solve_optimum(self) -> np.ndarray:
         d = self.dimension
@@ -234,6 +264,7 @@ class BenchmarkInstance:
                 factor = cap / peak
                 for sub in self.subcomponents:
                     sub.local_shift = sub.local_shift * factor
+                self._prepare()
                 y = self._conflict_least_squares()
         else:
             # zero is a fixed point of every map, so the preimage of the
@@ -268,8 +299,9 @@ class BenchmarkInstance:
         r0 = 0
         for sub in self.subcomponents:
             a = np.tril(np.ones((sub.size, sub.size)))  # prefix sums
-            if sub._cond is not None:
-                a = a * sub._cond[np.newaxis, :]
+            if self.conditioning_alpha != 1.0:
+                cond = conditioning_weights(sub.size, self.conditioning_alpha)
+                a = a * cond[np.newaxis, :]
             if sub.rotation is not None:
                 a = a @ sub.rotation
             a = a * np.sqrt(sub.weight)
@@ -281,29 +313,28 @@ class BenchmarkInstance:
 
     # evaluation
 
-    def _transform(self, v: np.ndarray, sub: Subcomponent) -> np.ndarray:
-        if sub.local_shift is not None:
-            v = v - sub.local_shift
-        if sub.rotation is not None:
-            v = sub.rotation @ v
-        if self.irregularity:
-            v = oscillate(v)
-        if self.asymmetry_beta:
-            v = skew(v, self.asymmetry_beta)
-        if sub._cond is not None:
-            v = sub._cond * v
-        return v
-
     def _evaluate_raw(self, x: np.ndarray) -> float:
-        y = x - self.shift if self.shift is not None else x
-        y = y[self.permutation]
+        z = x[self._gather]
+        if self._shift is not None:
+            z -= self._shift
+        if self._local_shift is not None:
+            z -= self._local_shift
+        if self._rotations is not None:
+            y, z = z, np.empty_like(z)
+            for a, b, rotation in self._rotations:
+                if rotation is None:
+                    z[a:b] = y[a:b]
+                else:
+                    np.matmul(rotation, y[a:b], out=z[a:b])
+        if self.irregularity:
+            z = oscillate(z)
+        if self._slope is not None:
+            z = skew_graded(z, self._slope)
+        if self._cond is not None:
+            z *= self._cond
         total = 0.0
-        for sub in self.subcomponents:
-            z = self._transform(y[sub.start : sub.stop], sub)
-            total += sub.weight * sub._fn(z)
-        if self.tail is not None:
-            z = self._transform(y[self.tail.start : self.tail.stop], self.tail)
-            total += self.tail._fn(z)
+        for a, b, weight, fn in self._terms:
+            total += weight * fn(z[a:b])
         return total - self._offset
 
     def evaluate(self, x) -> float:
@@ -322,25 +353,6 @@ class BenchmarkInstance:
     def optimum_preimage(self) -> np.ndarray:
         """A point where the instance attains (up to 1e-6) its minimum."""
         return self._optimum.copy()
-
-    def pipeline(self) -> TransformPipeline:
-        """The instance's x -> z mapping, for the non-overlapping families."""
-        if self.family.startswith("overlap"):
-            raise ValueError(
-                "overlapping blocks have no single whole-vector transform; "
-                "evaluate() transforms each block independently"
-            )
-        blocks = [Block(s.start, s.size, s.rotation) for s in self.subcomponents]
-        if self.tail is not None:
-            blocks.append(Block(self.tail.start, self.tail.size, None))
-        return TransformPipeline(
-            shift=self.shift,
-            permutation=self.permutation,
-            blocks=tuple(blocks),
-            irregularity=self.irregularity,
-            asymmetry_beta=self.asymmetry_beta,
-            conditioning_alpha=self.conditioning_alpha,
-        )
 
     def fresh_copy(self) -> "BenchmarkInstance":
         """Independent copy with its own zeroed evaluation counter."""
@@ -465,6 +477,38 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
     )
 
 
+def _check_layout(family, dimension, shift, subs, tail):
+    """Reject a descriptor whose shifts or blocks do not fit its dimension."""
+    if shift is not None and shift.size != dimension:
+        raise ValueError(
+            f"descriptor shift has {shift.size} values, dimension is {dimension}"
+        )
+    parts = subs + ([tail] if tail is not None else [])
+    coverage = np.zeros(dimension, dtype=int)
+    for p in parts:
+        if p.size < 1 or p.start < 0 or p.stop > dimension:
+            raise ValueError(
+                f"descriptor block [{p.start}, {p.stop}) leaves [0, {dimension})"
+            )
+        if p.local_shift is None and family == "overlap_conflicting":
+            raise ValueError(
+                f"descriptor block [{p.start}, {p.stop}) of a conflicting chain "
+                "has no local shift"
+            )
+        if p.local_shift is not None and p.local_shift.size != p.size:
+            raise ValueError(
+                f"descriptor block [{p.start}, {p.stop}) has a local shift of "
+                f"{p.local_shift.size} values for {p.size} coordinates"
+            )
+        coverage[p.start : p.stop] += 1
+    if not family.startswith("overlap") and not (coverage == 1).all():
+        i = int(np.argmax(coverage != 1))
+        raise ValueError(
+            f"descriptor blocks of the {family} family must cover every "
+            f"coordinate exactly once; coordinate {i} is covered {coverage[i]} times"
+        )
+
+
 def from_descriptor(desc: dict) -> BenchmarkInstance:
     """Rebuild an instance from its descriptor dict.
 
@@ -495,14 +539,15 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
                 bool(entry["rotated"]), float(entry["weight"]), None, local,
             )
         )
-    _, rot_ss = _streams(function_id, dimension, int(desc["seed"]))
-    _rotations_for(subs, rot_ss)
     tail = None
     if desc.get("tail") is not None:
         tail = Subcomponent(
             int(desc["tail"]["start"]), int(desc["tail"]["size"]),
             fspec.base, False, 1.0,
         )
+    _check_layout(fspec.family, dimension, shift, subs, tail)
+    _, rot_ss = _streams(function_id, dimension, int(desc["seed"]))
+    _rotations_for(subs, rot_ss)
     return BenchmarkInstance(
         function_id, dimension, int(desc["seed"]), shift, perm, subs, tail,
         desc["irregularity"], desc["asymmetry_beta"], desc["conditioning_alpha"],

@@ -1,31 +1,28 @@
 """Coordinate transforms that turn the smooth base functions into harder ones.
 
-A transform pipeline maps a raw search point x to the vector z fed to the
-base functions: subtract the shift, permute, then per block rotate and apply
-the scalar maps (irregularity, asymmetry, conditioning). The scalar maps use
-block-local indices, so a block is self-contained regardless of where it
-sits in the permuted vector.
+An instance maps a raw search point x to the vector z fed to the base
+functions: subtract the shift, permute, rotate each block, then apply the
+scalar maps (irregularity, asymmetry, conditioning). The scalar maps act on
+each coordinate alone, given the coordinate's position within its block,
+so `BenchmarkInstance` runs them once over all blocks laid end to end.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 
 def oscillate(z: np.ndarray) -> np.ndarray:
     """Sign-preserving wobble on the log scale; fixes 0 and +-1 exactly."""
-    out = np.zeros_like(z)
+    zero = z == 0
+    xhat = np.log(np.abs(z) + zero)  # log|z|, and 0 where z is 0
     pos = z > 0
-    neg = z < 0
-    if pos.any():
-        xhat = np.log(z[pos])
-        out[pos] = np.exp(xhat + 0.049 * (np.sin(10.0 * xhat) + np.sin(7.9 * xhat)))
-    if neg.any():
-        xhat = np.log(-z[neg])
-        out[neg] = -np.exp(xhat + 0.049 * (np.sin(5.5 * xhat) + np.sin(3.1 * xhat)))
-    return out
+    c1 = np.where(pos, 10.0, 5.5)
+    c2 = np.where(pos, 7.9, 3.1)
+    wobble = np.exp(xhat + 0.049 * (np.sin(c1 * xhat) + np.sin(c2 * xhat)))
+    np.copysign(wobble, z, out=wobble)
+    wobble[zero] = 0.0
+    return wobble
 
 
 def skew(z: np.ndarray, beta: float) -> np.ndarray:
@@ -34,13 +31,14 @@ def skew(z: np.ndarray, beta: float) -> np.ndarray:
     g_i ramps 0..1 over the block; negative coordinates pass through, so the
     map fixes 0 and 1 at every index.
     """
-    out = z.copy()
-    pos = z > 0
-    if pos.any():
-        g = _gradient(z.size)
-        expo = 1.0 + beta * g[pos] * np.sqrt(z[pos])
-        out[pos] = z[pos] ** expo
-    return out
+    return skew_graded(z, beta * _gradient(z.size))
+
+
+def skew_graded(z: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """`skew` with the per-coordinate slope beta*g_i given, for blocks laid end to end."""
+    # power of |z| never sees a negative base; where() passes negatives through
+    expo = 1.0 + slope * np.sqrt(np.maximum(z, 0.0))
+    return np.where(z > 0, np.power(np.abs(z), expo), z)
 
 
 def conditioning_weights(n: int, alpha: float) -> np.ndarray:
@@ -65,81 +63,3 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-@dataclass
-class Block:
-    """One contiguous slice of the permuted vector with its own rotation."""
-
-    start: int
-    size: int
-    rotation: np.ndarray | None = None
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.size
-
-
-@dataclass
-class TransformPipeline:
-    """Full x -> z mapping for instances whose blocks do not overlap."""
-
-    shift: np.ndarray
-    permutation: np.ndarray
-    blocks: tuple[Block, ...]
-    irregularity: bool = True
-    asymmetry_beta: float = 0.2
-    conditioning_alpha: float = 10.0
-    _cond: dict[int, np.ndarray | None] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.shift = np.asarray(self.shift, dtype=float)
-        self.permutation = np.asarray(self.permutation, dtype=np.intp)
-        d = self.shift.size
-        if self.permutation.size != d:
-            raise ValueError("shift and permutation lengths differ")
-        if sorted(self.permutation.tolist()) != list(range(d)):
-            raise ValueError("permutation is not a bijection on 0..D-1")
-        covered = np.zeros(d, dtype=bool)
-        for b in self.blocks:
-            if covered[b.start : b.stop].any():
-                raise ValueError("pipeline blocks overlap; transform slices individually")
-            covered[b.start : b.stop] = True
-            if b.rotation is not None and b.rotation.shape != (b.size, b.size):
-                raise ValueError("rotation shape does not match its block")
-        if not covered.all():
-            raise ValueError("pipeline blocks do not cover all coordinates")
-
-    def conditioning_for(self, size: int) -> np.ndarray | None:
-        if self.conditioning_alpha == 1.0:
-            return None
-        cached = self._cond.get(size)
-        if cached is None:
-            cached = conditioning_weights(size, self.conditioning_alpha)
-            self._cond[size] = cached
-        return cached
-
-    def transform_slice(self, v: np.ndarray, rotation: np.ndarray | None) -> np.ndarray:
-        """Scalar maps (and optional rotation) for one already-shifted slice."""
-        if rotation is not None:
-            v = rotation @ v
-        if self.irregularity:
-            v = oscillate(v)
-        if self.asymmetry_beta:
-            v = skew(v, self.asymmetry_beta)
-        cond = self.conditioning_for(v.size)
-        if cond is not None:
-            v = cond * v
-        return v
-
-
-def apply_pipeline(pipeline: TransformPipeline, x: np.ndarray) -> np.ndarray:
-    """Map x to the transformed vector z, block by block."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != pipeline.shift.shape:
-        raise ValueError(f"expected {pipeline.shift.size} coordinates, got {x.shape}")
-    y = (x - pipeline.shift)[pipeline.permutation]
-    z = np.empty_like(y)
-    for b in pipeline.blocks:
-        z[b.start : b.stop] = pipeline.transform_slice(y[b.start : b.stop], b.rotation)
-    return z

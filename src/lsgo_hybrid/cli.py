@@ -78,13 +78,19 @@ def parse_function_list(text: str) -> list[str]:
     return unique
 
 
-def _resolve_params(source: str, function_id: str) -> ParamVector:
+def _resolve_params(source: str, function_id: str, dimension: int) -> ParamVector:
     if source == "table2b":
         return load_specialist_params(function_id)
     if source.startswith("tuned:"):
         path = source[len("tuned:"):]
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        for key, value in (("function_id", function_id), ("dimension", dimension)):
+            if key in payload and payload[key] != value:
+                raise ValueError(
+                    f"tuned file {path} has {key} {payload[key]!r}, "
+                    f"but the run uses {key} {value!r}"
+                )
         return ParamVector(par=float(payload["par"]), cr=float(payload["cr"]),
                            f=float(payload["f"]))
     if source.startswith("explicit:"):
@@ -100,6 +106,13 @@ def _resolve_params(source: str, function_id: str) -> ParamVector:
         f"unknown --params source {source!r}; "
         "use table2b, tuned:FILE, or explicit:PAR,CR,F"
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _config_hash(payload: dict) -> str:
@@ -151,12 +164,14 @@ def cmd_run(args) -> int:
     checkpoint_fes = [k * per_cycle for k in checkpoints]
     fe_columns = [_fe_label(fe, budget) for fe in checkpoint_fes]
 
+    # resolve every function's parameters before the first run, so a bad
+    # source fails at once rather than after hours of finished runs
+    vectors = {fid: _resolve_params(args.params, fid, args.dim) for fid in functions}
     all_rows = []
     summaries = []
-    workers = args.parallel if args.parallel else (os.cpu_count() or 1)
+    workers = args.parallel if args.parallel else _usable_cpus()
     for fid in sorted(functions, key=_FID_NUM.get):
-        vector = _resolve_params(args.params, fid)
-        config = hybrid_config_for(vector, base)
+        config = hybrid_config_for(vectors[fid], base)
         results, summary = run_batch((fid, args.dim, args.seed), config,
                                      n_runs=args.runs, workers=workers)
         summaries.append(summary)
@@ -389,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--checkpoints", default="4,20,100",
                        help="outer-cycle indices to record, comma separated")
     p_run.add_argument("--parallel", type=int, default=0,
-                       help="worker processes (default: all hardware threads)")
+                       help="worker processes (default: all CPUs this process may use)")
     p_run.add_argument("--audit", action="store_true",
                        help="re-derive the summary from the run rows")
     p_run.add_argument("--out")

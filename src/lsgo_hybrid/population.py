@@ -26,6 +26,12 @@ class Population:
         self.fitness = np.asarray(fitness, dtype=float)
         if self.x.ndim != 2 or self.fitness.shape != (self.x.shape[0],):
             raise ValueError("population needs an (n, d) matrix and n fitness values")
+        # a NaN member would be the argmax "worst" that no candidate can
+        # strictly beat, freezing the pool; as +inf any finite value beats it
+        # (offer() already rejects NaN candidates, as NaN < worst is false)
+        nan = np.isnan(self.fitness)
+        if nan.any():
+            self.fitness = np.where(nan, np.inf, self.fitness)
         self._worst = int(np.argmax(self.fitness))
 
     @classmethod

@@ -234,6 +234,22 @@ def test_tuned_params_feed_back_into_run(tmp_path):
     assert (out / "summary.csv").exists()
 
 
+def test_run_rejects_tuned_file_for_another_function_or_dimension(tmp_path, capsys):
+    tuned = tmp_path / "tuned_F5_D10.json"
+    tuned.write_text(json.dumps({"function_id": "F5", "dimension": 10,
+                                 "par": 0.3, "cr": 0.9, "f": 0.5}))
+    out = tmp_path / "x"
+    code = main(TINY_RUN + ["--functions", "F1,F5", "--params",
+                            f"tuned:{tuned}", "--out", str(out)])
+    assert code == 1
+    assert "function_id 'F5', but the run uses function_id 'F1'" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+    code = main(TINY_RUN[:1] + ["--dim", "20"] + TINY_RUN[3:] + [
+        "--functions", "F5", "--params", f"tuned:{tuned}", "--out", str(out)])
+    assert code == 1
+    assert "dimension 10, but the run uses dimension 20" in capsys.readouterr().err
+
+
 def test_bench_info_round_trip(tmp_path):
     out = tmp_path / "info"
     assert main(["bench-info", "--function", "F8", "--dim", "30",

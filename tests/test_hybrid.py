@@ -170,3 +170,26 @@ def test_config_validation():
 def test_run_batch_rejects_zero_runs():
     with pytest.raises(ValueError):
         run_batch(("F1", 10, 0), _tiny(), n_runs=0)
+
+
+class _NanOnce:
+    """Sphere objective whose first evaluation returns NaN."""
+
+    dimension = 5
+    bounds = (-10.0, 10.0)
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, x):
+        self.calls += 1
+        return float("nan") if self.calls == 1 else float(np.dot(x, x))
+
+    __call__ = evaluate
+
+
+def test_nan_during_pool_initialisation_does_not_freeze_the_pool():
+    result = run(_NanOnce(), _tiny())
+    assert np.isfinite(result.final_best.fitness)
+    assert all(np.isfinite(result.trace))
+    assert all(b <= a for a, b in zip(result.trace, result.trace[1:]))

@@ -1,15 +1,149 @@
+import base64
+
 import numpy as np
 import pytest
 
 from lsgo_hybrid.benchmarks import (
     FUNCTION_IDS,
+    conditioning_weights,
     eval_base,
+    from_descriptor,
     from_json,
+    functions,
     make_instance,
     random_orthogonal,
 )
 
 DESK_DIM = 50
+
+
+def _oscillate_masked(z):
+    out = np.zeros_like(z)
+    pos = z > 0
+    neg = z < 0
+    if pos.any():
+        xhat = np.log(z[pos])
+        out[pos] = np.exp(xhat + 0.049 * (np.sin(10.0 * xhat) + np.sin(7.9 * xhat)))
+    if neg.any():
+        xhat = np.log(-z[neg])
+        out[neg] = -np.exp(xhat + 0.049 * (np.sin(5.5 * xhat) + np.sin(3.1 * xhat)))
+    return out
+
+
+def _skew_masked(z, beta):
+    out = z.copy()
+    pos = z > 0
+    if pos.any():
+        g = np.arange(z.size) / (z.size - 1) if z.size > 1 else np.zeros(z.size)
+        expo = 1.0 + beta * g[pos] * np.sqrt(z[pos])
+        out[pos] = z[pos] ** expo
+    return out
+
+
+def _reference_evaluate(inst, x):
+    """Block-by-block evaluation: every block shifted, rotated and mapped alone."""
+    y = x - inst.shift if inst.shift is not None else x
+    y = y[inst.permutation]
+    parts = list(inst.subcomponents) + ([inst.tail] if inst.tail is not None else [])
+    total = 0.0
+    for p in parts:
+        v = y[p.start : p.stop]
+        if p.local_shift is not None:
+            v = v - p.local_shift
+        if p.rotation is not None:
+            v = p.rotation @ v
+        if inst.irregularity:
+            v = _oscillate_masked(v)
+        if inst.asymmetry_beta:
+            v = _skew_masked(v, inst.asymmetry_beta)
+        if inst.conditioning_alpha != 1.0:
+            v = conditioning_weights(p.size, inst.conditioning_alpha) * v
+        total += p.weight * getattr(functions, p.base)(v)
+    return total - inst._offset
+
+
+_EXACT_CASES = [(fid, 50) for fid in FUNCTION_IDS] + [
+    (fid, 1000) for fid in ("F4", "F8", "F13", "F14", "F15")
+]
+
+
+@pytest.mark.parametrize("fid,dim", _EXACT_CASES)
+def test_evaluate_equals_block_by_block_reference_exactly(fid, dim):
+    inst = make_instance(fid, dim, 7)
+    rng = np.random.default_rng([dim, int(fid[1:])])
+    opt = inst.optimum_preimage
+    points = list(rng.uniform(*inst.bounds, size=(24, dim))) + [opt]
+    # near the optimum z has small coordinates of both signs, and exact zeros
+    points += [opt + rng.normal(size=dim) * 1e-3 for _ in range(4)]
+    for x in points:
+        assert inst.evaluate(x) == _reference_evaluate(inst, x)
+
+
+@pytest.mark.parametrize("fid", ["F1", "F4", "F7", "F8", "F11", "F13", "F15"])
+def test_shift_maps_to_zero(fid):
+    # elliptic and Schwefel 1.2 are exactly 0 only when every z is 0
+    inst = make_instance(fid, DESK_DIM, 8)
+    assert inst.evaluate(inst.shift) == 0.0
+
+
+def _encode(a):
+    return base64.b64encode(np.ascontiguousarray(a).tobytes()).decode("ascii")
+
+
+def test_descriptor_rejects_bad_permutation():
+    desc = make_instance("F8", DESK_DIM, 3).to_descriptor()
+    desc["permutation"] = _encode(np.zeros(DESK_DIM, dtype=np.int64))
+    with pytest.raises(ValueError, match="permutation"):
+        from_descriptor(desc)
+
+
+def test_descriptor_rejects_coverage_gap():
+    desc = make_instance("F8", DESK_DIM, 3).to_descriptor()
+    desc["subcomponents"].pop()
+    with pytest.raises(ValueError, match="cover every coordinate exactly once"):
+        from_descriptor(desc)
+    desc = make_instance("F4", DESK_DIM, 3).to_descriptor()
+    desc["tail"] = None
+    with pytest.raises(ValueError, match="cover every coordinate exactly once"):
+        from_descriptor(desc)
+
+
+def test_descriptor_rejects_wrong_block_size():
+    desc = make_instance("F8", DESK_DIM, 3).to_descriptor()
+    desc["subcomponents"][0]["size"] += 1  # now overlaps its neighbour
+    with pytest.raises(ValueError, match="covered 2 times"):
+        from_descriptor(desc)
+    desc = make_instance("F8", DESK_DIM, 3).to_descriptor()
+    desc["subcomponents"][-1]["size"] += 1
+    with pytest.raises(ValueError, match=r"leaves \[0, 50\)"):
+        from_descriptor(desc)
+
+
+def test_descriptor_rejects_span_outside_dimension():
+    desc = make_instance("F4", DESK_DIM, 3).to_descriptor()
+    desc["tail"]["start"] += 1
+    with pytest.raises(ValueError, match=r"leaves \[0, 50\)"):
+        from_descriptor(desc)
+    desc = make_instance("F13", DESK_DIM, 3).to_descriptor()
+    desc["subcomponents"][0]["start"] = -1
+    with pytest.raises(ValueError, match=r"leaves \[0, 50\)"):
+        from_descriptor(desc)
+
+
+def test_descriptor_rejects_shift_length_mismatch():
+    inst = make_instance("F8", DESK_DIM, 3)
+    desc = inst.to_descriptor()
+    desc["shift"] = _encode(inst.shift[:-1])
+    with pytest.raises(ValueError, match="shift has 49 values"):
+        from_descriptor(desc)
+    inst = make_instance("F14", DESK_DIM, 3)
+    desc = inst.to_descriptor()
+    desc["subcomponents"][1]["shift"] = _encode(inst.subcomponents[1].local_shift[1:])
+    with pytest.raises(ValueError, match="local shift of 4 values for 5 coordinates"):
+        from_descriptor(desc)
+    desc["subcomponents"][1]["shift"] = None
+    with pytest.raises(ValueError, match="has no local shift"):
+        from_descriptor(desc)
 
 
 def test_function_id_catalogue():

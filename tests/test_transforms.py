@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from lsgo_hybrid.benchmarks import (
-    Block,
-    TransformPipeline,
-    apply_pipeline,
     conditioning_weights,
     oscillate,
     random_orthogonal,
@@ -66,62 +63,3 @@ def test_random_orthogonal_varies_with_stream():
     a = random_orthogonal(4, np.random.default_rng(1))
     b = random_orthogonal(4, np.random.default_rng(2))
     assert not np.allclose(a, b)
-
-
-def _pipeline(d=6, rotate=True, rng=None):
-    rng = rng or np.random.default_rng(5)
-    rot = random_orthogonal(d, rng) if rotate else None
-    return TransformPipeline(
-        shift=rng.uniform(-1, 1, size=d),
-        permutation=rng.permutation(d),
-        blocks=[Block(0, d, rot)],
-        irregularity=True,
-        asymmetry_beta=0.2,
-        conditioning_alpha=10.0,
-    )
-
-
-def test_pipeline_maps_shift_to_zero():
-    p = _pipeline()
-    z = apply_pipeline(p, p.shift.copy())
-    assert np.allclose(z, 0.0, atol=1e-12)
-
-
-def test_pipeline_rejects_bad_permutation():
-    d = 6
-    rng = np.random.default_rng(7)
-    with pytest.raises(ValueError, match="permutation"):
-        TransformPipeline(
-            shift=np.zeros(d),
-            permutation=np.zeros(d, dtype=int),
-            blocks=[Block(0, d, None)],
-            irregularity=False,
-            asymmetry_beta=0.0,
-            conditioning_alpha=1.0,
-        )
-
-
-def test_pipeline_rejects_gap_in_blocks():
-    d = 6
-    with pytest.raises(ValueError, match="cover"):
-        TransformPipeline(
-            shift=np.zeros(d),
-            permutation=np.arange(d),
-            blocks=[Block(0, 3, None)],
-            irregularity=False,
-            asymmetry_beta=0.0,
-            conditioning_alpha=1.0,
-        )
-
-
-def test_pipeline_rejects_wrong_rotation_shape():
-    d = 4
-    with pytest.raises(ValueError, match="rotation"):
-        TransformPipeline(
-            shift=np.zeros(d),
-            permutation=np.arange(d),
-            blocks=[Block(0, d, np.eye(3))],
-            irregularity=False,
-            asymmetry_beta=0.0,
-            conditioning_alpha=1.0,
-        )
