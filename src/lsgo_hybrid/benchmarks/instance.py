@@ -24,6 +24,7 @@ over the whole buffer, and sums the weighted base function of each block.
 from __future__ import annotations
 
 import base64
+import binascii
 import copy
 import json
 from dataclasses import dataclass
@@ -401,8 +402,24 @@ def _encode(a: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(a).tobytes()).decode("ascii")
 
 
-def _decode(s: str, dtype) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s.encode("ascii")), dtype=dtype).copy()
+def _decode(s: str, dtype, field: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(s.encode("ascii"), validate=True)
+    except (binascii.Error, UnicodeEncodeError):
+        raise ValueError(f"descriptor {field} is not valid base64") from None
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) % itemsize:
+        raise ValueError(
+            f"descriptor {field} has {len(raw)} bytes, "
+            f"not a whole number of {itemsize}-byte values"
+        )
+    return np.frombuffer(raw, dtype=dtype).copy()
+
+
+def _flag(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"descriptor {field} must be true or false, got {value!r}")
+    return value
 
 
 def _seed_u64(seed: int) -> int:
@@ -522,21 +539,23 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
         raise ValueError(f"unknown function id {function_id!r}")
     fspec = _FUNCTIONS[function_id]
     dimension = int(desc["dimension"])
-    perm = _decode(desc["permutation"], np.int64).astype(np.intp)
+    perm = _decode(desc["permutation"], np.int64, "permutation").astype(np.intp)
     if sorted(perm.tolist()) != list(range(dimension)):
         raise ValueError("descriptor permutation is not a bijection")
-    shift = _decode(desc["shift"], np.float64) if desc["shift"] is not None else None
+    shift = (_decode(desc["shift"], np.float64, "shift")
+             if desc["shift"] is not None else None)
     subs = []
-    for entry in desc["subcomponents"]:
+    for k, entry in enumerate(desc["subcomponents"]):
         local = (
-            _decode(entry["shift"], np.float64)
+            _decode(entry["shift"], np.float64, f"subcomponent {k} shift")
             if entry.get("shift") is not None
             else None
         )
         subs.append(
             Subcomponent(
                 int(entry["start"]), int(entry["size"]), fspec.base,
-                bool(entry["rotated"]), float(entry["weight"]), None, local,
+                _flag(entry["rotated"], f"subcomponent {k} rotated"),
+                float(entry["weight"]), None, local,
             )
         )
     tail = None
@@ -550,7 +569,8 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
     _rotations_for(subs, rot_ss)
     return BenchmarkInstance(
         function_id, dimension, int(desc["seed"]), shift, perm, subs, tail,
-        desc["irregularity"], desc["asymmetry_beta"], desc["conditioning_alpha"],
+        _flag(desc["irregularity"], "irregularity"), desc["asymmetry_beta"],
+        desc["conditioning_alpha"],
     )
 
 

@@ -19,9 +19,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
+from . import __version__
 from .benchmarks import FUNCTION_IDS, make_instance
 from .hybrid import HybridConfig, fe_budget, run_batch, scaled
 from .stats.fixture import FUNCTION_LABELS, reference_median_matrix
@@ -143,36 +144,30 @@ def cmd_run(args) -> int:
     base.validate()
     budget = fe_budget(base)
 
+    # resolve every function's parameters before the first run, so a bad
+    # source fails at once rather than after hours of finished runs
+    configs = {fid: hybrid_config_for(_resolve_params(args.params, fid, args.dim), base)
+               for fid in functions}
+    # hash the resolved configs, not the --params text, so editing a tuned
+    # file changes the hash and equal values reached two ways share one
     config_hash = _config_hash({
+        "version": __version__,
         "functions": functions,
         "dim": args.dim,
         "runs": args.runs,
         "seed": args.seed,
-        "budget_scale": args.budget_scale,
-        "params": args.params,
-        "checkpoints": list(checkpoints),
-        "population_size": base.population_size,
-        "outer_iterations": base.outer_iterations,
-        "harmony_iterations": base.harmony.max_iterations,
-        "de_iterations": base.de.max_iterations,
-        "hmcr": [base.harmony.hmcr_lo, base.harmony.hmcr_hi],
-        "bandwidth_fraction": base.harmony.bandwidth_fraction,
-        "strategy": base.de.strategy,
+        "configs": {fid: asdict(config) for fid, config in configs.items()},
     })
 
     per_cycle = budget // base.outer_iterations
     checkpoint_fes = [k * per_cycle for k in checkpoints]
     fe_columns = [_fe_label(fe, budget) for fe in checkpoint_fes]
 
-    # resolve every function's parameters before the first run, so a bad
-    # source fails at once rather than after hours of finished runs
-    vectors = {fid: _resolve_params(args.params, fid, args.dim) for fid in functions}
     all_rows = []
     summaries = []
     workers = args.parallel if args.parallel else _usable_cpus()
     for fid in sorted(functions, key=_FID_NUM.get):
-        config = hybrid_config_for(vectors[fid], base)
-        results, summary = run_batch((fid, args.dim, args.seed), config,
+        results, summary = run_batch((fid, args.dim, args.seed), configs[fid],
                                      n_runs=args.runs, workers=workers)
         summaries.append(summary)
         for r in results:

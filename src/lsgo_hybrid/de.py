@@ -57,10 +57,13 @@ def mutate_crossover(pop: Population, x: int, a: int, b: int, c: int,
                      params: DeParams, bounds, rng) -> np.ndarray:
     """Build one trial vector for target x from donors a, b, c.
 
-    Binomial crossover with a guaranteed coordinate; a mutant coordinate
-    that lands outside the box gets its crossover decision redrawn up to 10
-    times (a redraw may fall back to the in-bounds parent coordinate) and
-    is clamped after that.
+    Binomial crossover with a guaranteed coordinate i_rand. A crossed
+    coordinate whose mutant lies outside the box falls back to the parent
+    value with probability 1 - cr**10 (one of ten crossover redraws picks
+    the parent), independently per coordinate, else it is clamped; i_rand
+    never falls back. Draws, in order: rng.integers(d) for i_rand,
+    rng.random(d) for the crossover mask, then rng.random(n_out) over the
+    n_out out-of-box crossed coordinates in index order if n_out > 0.
     """
     lo, hi = bounds
     d = pop.dimension
@@ -73,18 +76,15 @@ def mutate_crossover(pop: Population, x: int, a: int, b: int, c: int,
     cross[i_rand] = True
     v = np.where(cross, mutant, current)
 
-    out = cross & ((v < lo) | (v > hi))
-    for _ in range(_BOUND_RETRIES):
-        if not out.any():
-            break
-        # the mutant value is deterministic given the donors, so only a
-        # crossover redraw that picks the parent coordinate can repair it
-        fall_back = out & (rng.random(d) >= params.cr)
-        fall_back[i_rand] = False
-        v = np.where(fall_back, current, v)
-        out &= ~fall_back
-    if out.any():
-        np.clip(v, lo, hi, out=v)
+    out = np.flatnonzero(cross & ((v < lo) | (v > hi)))
+    if out.size:
+        # one uniform stands for the ten crossover redraws of the parent
+        fall_back = rng.random(out.size) >= params.cr ** _BOUND_RETRIES
+        fall_back[out == i_rand] = False
+        back = out[fall_back]
+        v[back] = current[back]
+        if back.size < out.size:
+            np.clip(v, lo, hi, out=v)
     return v
 
 

@@ -81,8 +81,9 @@ def load_specialist_params(function_id: str) -> ParamVector:
     text = resources.files(_DATA_PACKAGE).joinpath(_PARAMS_FILE).read_text("utf-8")
     parser.read_string(text)
     if not parser.has_section(function_id):
-        known = [s for s in parser.sections() if s != "defaults"]
-        raise KeyError(f"no tuned parameters for {function_id!r}; have {known}")
+        raise KeyError(
+            f"no tuned parameters for {function_id!r}; have {parser.sections()}"
+        )
     section = parser[function_id]
     return ParamVector(
         par=section.getfloat("par"),

@@ -1,9 +1,12 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsgo_hybrid
 from lsgo_hybrid.benchmarks import from_json, make_instance
 from lsgo_hybrid.cli import OUT_DIR_ENV, main, parse_function_list
 
@@ -248,6 +251,40 @@ def test_run_rejects_tuned_file_for_another_function_or_dimension(tmp_path, caps
         "--functions", "F5", "--params", f"tuned:{tuned}", "--out", str(out)])
     assert code == 1
     assert "dimension 10, but the run uses dimension 20" in capsys.readouterr().err
+
+
+def _run_hash(tmp_path, name, params):
+    out = tmp_path / name
+    assert main(TINY_RUN + ["--functions", "F1", "--params", params,
+                            "--out", str(out)]) == 0
+    return _read(out / "runs.csv")[1][-1]
+
+
+def _tuned(tmp_path, name, cr):
+    path = tmp_path / name
+    path.write_text(json.dumps({"function_id": "F1", "dimension": 10,
+                                "par": 0.3, "cr": cr, "f": 0.5}))
+    return f"tuned:{path}"
+
+
+def test_config_hash_follows_tuned_file_values(tmp_path):
+    # the same path with an edited cr must not keep the old hash
+    first = _run_hash(tmp_path, "a", _tuned(tmp_path, "p.json", 0.9))
+    second = _run_hash(tmp_path, "b", _tuned(tmp_path, "p.json", 0.8))
+    assert first != second
+
+
+def test_config_hash_ignores_how_the_values_were_given(tmp_path):
+    tuned = _run_hash(tmp_path, "t", _tuned(tmp_path, "t.json", 0.9))
+    explicit = _run_hash(tmp_path, "e", "explicit:0.3,0.9,0.5")
+    assert tuned == explicit
+
+
+def test_pyproject_version_matches_package():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    m = re.search(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+    assert m is not None
+    assert m.group(1) == lsgo_hybrid.__version__
 
 
 def test_bench_info_round_trip(tmp_path):

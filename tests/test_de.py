@@ -118,3 +118,69 @@ def test_best_strategy_also_converges():
     de_run(pool, DeParams(max_iterations=300, strategy="best1bin"), sphere, rng,
            bounds=(-10.0, 10.0))
     assert pool.best_fitness < start * 0.5
+
+
+def _all_out_pool(dim):
+    # target 0, donors 0.9 / 0.9 / -0.9: with f=1 every mutant value is 2.7
+    x = np.zeros((4, dim))
+    x[1] = x[2] = 0.9
+    x[3] = -0.9
+    return Population(x, np.zeros(4))
+
+
+@pytest.mark.parametrize("cr", [0.5, 0.9])
+def test_repair_law_matches_ten_crossover_redraws(cr):
+    # a coordinate is clamped at hi only if it is crossed and none of the
+    # ten redraws falls back (cr**11), or if it is the forced coordinate
+    dim, trials = 20, 2000
+    pool = _all_out_pool(dim)
+    rng = np.random.default_rng(21)
+    params = DeParams(cr=cr, f=1.0)
+    clamped = np.array([
+        np.count_nonzero(mutate_crossover(pool, 0, 1, 2, 3, params, (-1.0, 1.0), rng) == 1.0)
+        for _ in range(trials)
+    ])
+    assert clamped.min() >= 1
+    p = cr ** 11 + (1 - cr ** 11) / dim
+    n = trials * dim
+    assert abs(clamped.sum() / n - p) <= 5 * np.sqrt(p * (1 - p) / n)
+
+
+def test_repair_with_zero_cr_clamps_only_the_forced_coordinate():
+    pool = _all_out_pool(12)
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        v = mutate_crossover(pool, 0, 1, 2, 3, DeParams(cr=0.0, f=1.0), (-1.0, 1.0), rng)
+        assert np.count_nonzero(v == 1.0) == 1
+        assert np.count_nonzero(v == 0.0) == 11
+
+
+def test_draw_layout_is_pinned():
+    # rebuild each trial from a copy of the generator with the documented
+    # draws: integers(d), random(d), then random(n_out)
+    dim, (lo, hi) = 40, (-1.0, 1.0)
+    pool = _pool(size=8, dim=dim, seed=4, bounds=(lo, hi))
+    params = DeParams(cr=0.8, f=1.9)
+    rng = np.random.default_rng(23)
+    partial = 0
+    for _ in range(30):
+        x, a, b, c = select_indices(len(pool), rng)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        trial = mutate_crossover(pool, x, a, b, c, params, (lo, hi), rng)
+
+        mutant = pool.x[a] + params.f * (pool.x[b] - pool.x[c])
+        i_rand = int(replay.integers(dim))
+        cross = replay.random(dim) < params.cr
+        cross[i_rand] = True
+        v = np.where(cross, mutant, pool.x[x])
+        out = np.flatnonzero(cross & ((v < lo) | (v > hi)))
+        fall_back = replay.random(out.size) >= params.cr ** 10
+        fall_back[out == i_rand] = False
+        v[out[fall_back]] = pool.x[x][out[fall_back]]
+        expected = np.clip(v, lo, hi)
+
+        assert np.array_equal(trial, expected)
+        assert replay.bit_generator.state == rng.bit_generator.state
+        partial += 0 < np.count_nonzero(fall_back) < out.size
+    assert partial > 0  # some trials both fell back and clamped

@@ -146,6 +146,33 @@ def test_descriptor_rejects_shift_length_mismatch():
         from_descriptor(desc)
 
 
+def _truncate(text):
+    # drop one 4-character base64 group: valid base64, 3 bytes short
+    return text[:-8] + text[-4:]
+
+
+@pytest.mark.parametrize("fid, path, corrupt, message", [
+    ("F8", ("permutation",), _truncate, "descriptor permutation has 397 bytes"),
+    ("F8", ("shift",), _truncate, "descriptor shift has 397 bytes"),
+    ("F14", ("subcomponents", 1, "shift"), _truncate,
+     "descriptor subcomponent 1 shift has 37 bytes"),
+    ("F8", ("irregularity",), lambda _: "no",
+     "irregularity must be true or false, got 'no'"),
+    ("F8", ("subcomponents", 0, "rotated"), lambda _: "false",
+     "subcomponent 0 rotated must be true or false"),
+], ids=["truncated-permutation", "truncated-shift", "truncated-local-shift",
+        "string-irregularity", "string-rotated"])
+def test_descriptor_rejects_malformed_field(fid, path, corrupt, message):
+    desc = make_instance(fid, DESK_DIM, 3).to_descriptor()
+    *outer, key = path
+    node = desc
+    for k in outer:
+        node = node[k]
+    node[key] = corrupt(node[key])
+    with pytest.raises(ValueError, match=message):
+        from_descriptor(desc)
+
+
 def test_function_id_catalogue():
     assert FUNCTION_IDS == tuple(f"F{i}" for i in range(1, 16))
 
