@@ -164,6 +164,31 @@ def _layout(family: str, d: int):
     raise ValueError(f"unknown family {family!r}")
 
 
+def _conflict_least_squares(subcomponents, dimension, alpha) -> np.ndarray:
+    """Exact minimiser of the conflicting chain in permuted coordinates.
+
+    With the pointwise maps off, each block j contributes
+    w_j * ||L C R (y_j - o_j)||^2, a convex quadratic, so the global
+    minimum of the sum is a stacked linear least-squares problem.
+    """
+    rows = sum(s.size for s in subcomponents)
+    m = np.zeros((rows, dimension))
+    t = np.zeros(rows)
+    r0 = 0
+    for sub in subcomponents:
+        a = np.tril(np.ones((sub.size, sub.size)))  # prefix sums
+        if alpha != 1.0:
+            a = a * conditioning_weights(sub.size, alpha)[np.newaxis, :]
+        if sub.rotation is not None:
+            a = a @ sub.rotation
+        a = a * np.sqrt(sub.weight)
+        m[r0 : r0 + sub.size, sub.start : sub.stop] = a
+        t[r0 : r0 + sub.size] = a @ sub.local_shift
+        r0 += sub.size
+    y, *_ = np.linalg.lstsq(m, t, rcond=None)
+    return y
+
+
 # -- instance ----------------------------------------------------------------
 
 
@@ -192,8 +217,7 @@ class BenchmarkInstance:
     """
 
     def __init__(self, function_id, dimension, seed, shift, permutation,
-                 subcomponents, tail, irregularity, asymmetry_beta,
-                 conditioning_alpha):
+                 subcomponents, tail):
         fspec = _FUNCTIONS[function_id]
         self.function_id = function_id
         self.dimension = int(dimension)
@@ -206,9 +230,9 @@ class BenchmarkInstance:
         self.permutation = np.asarray(permutation, dtype=np.intp)
         self.subcomponents = subcomponents
         self.tail = tail
-        self.irregularity = bool(irregularity)
-        self.asymmetry_beta = float(asymmetry_beta)
-        self.conditioning_alpha = float(conditioning_alpha)
+        self.irregularity = fspec.irregularity
+        self.asymmetry_beta = fspec.asymmetry_beta
+        self.conditioning_alpha = fspec.conditioning_alpha
         self.eval_count = 0
         self._offset = 0.0
         self._prepare()
@@ -255,18 +279,7 @@ class BenchmarkInstance:
     def _solve_optimum(self) -> np.ndarray:
         d = self.dimension
         if self.family == "overlap_conflicting":
-            y = self._conflict_least_squares()
-            # conflicting targets can push the compromise point outside the
-            # box; the solution is linear in the local shifts, so one common
-            # shrink factor pins the exact optimum inside the central band
-            cap = 0.8 * self.bounds[1]
-            peak = float(np.max(np.abs(y)))
-            if peak > cap:
-                factor = cap / peak
-                for sub in self.subcomponents:
-                    sub.local_shift = sub.local_shift * factor
-                self._prepare()
-                y = self._conflict_least_squares()
+            y = _conflict_least_squares(self.subcomponents, d, self.conditioning_alpha)
         else:
             # zero is a fixed point of every map, so the preimage of the
             # all-zeros target is the shift itself; the Rosenbrock chain's
@@ -285,32 +298,6 @@ class BenchmarkInstance:
             self._offset = 0.0
             self._offset = self._evaluate_raw(x)
         return x
-
-    def _conflict_least_squares(self) -> np.ndarray:
-        """Exact minimiser of the conflicting chain in permuted coordinates.
-
-        With the pointwise maps off, each block j contributes
-        w_j * ||L C R (y_j - o_j)||^2, a convex quadratic, so the global
-        minimum of the sum is a stacked linear least-squares problem.
-        """
-        d = self.dimension
-        rows = sum(s.size for s in self.subcomponents)
-        m = np.zeros((rows, d))
-        t = np.zeros(rows)
-        r0 = 0
-        for sub in self.subcomponents:
-            a = np.tril(np.ones((sub.size, sub.size)))  # prefix sums
-            if self.conditioning_alpha != 1.0:
-                cond = conditioning_weights(sub.size, self.conditioning_alpha)
-                a = a * cond[np.newaxis, :]
-            if sub.rotation is not None:
-                a = a @ sub.rotation
-            a = a * np.sqrt(sub.weight)
-            m[r0 : r0 + sub.size, sub.start : sub.stop] = a
-            t[r0 : r0 + sub.size] = a @ sub.local_shift
-            r0 += sub.size
-        y, *_ = np.linalg.lstsq(m, t, rcond=None)
-        return y
 
     # evaluation
 
@@ -484,14 +471,22 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
         for (start, size), w, ls in zip(sub_layout, weights, local_shifts)
     ]
     _rotations_for(subs, rot_ss)
+    if conflicting:
+        # conflicting targets can push the compromise point outside the box;
+        # the solution is linear in the local shifts, so one common shrink
+        # factor pins the exact optimum inside the central band; shrinking
+        # here, not in the constructor, lets descriptors rebuild these shifts
+        y =_conflict_least_squares(subs, dimension, fspec.conditioning_alpha)
+        cap = 0.8 * half
+        peak = float(np.max(np.abs(y)))
+        if peak > cap:
+            for sub in subs:
+                sub.local_shift = sub.local_shift * (cap / peak)
     tail = None
     if tail_layout is not None:
         tail = Subcomponent(tail_layout[0], tail_layout[1], fspec.base, False, 1.0)
 
-    return BenchmarkInstance(
-        function_id, dimension, seed, shift, perm, subs, tail,
-        fspec.irregularity, fspec.asymmetry_beta, fspec.conditioning_alpha,
-    )
+    return BenchmarkInstance(function_id, dimension, seed, shift, perm, subs, tail)
 
 
 def _check_layout(family, dimension, shift, subs, tail):
@@ -526,11 +521,20 @@ def _check_layout(family, dimension, shift, subs, tail):
         )
 
 
+def _expect(field: str, recorded, table, function_id: str):
+    if recorded != table:
+        raise ValueError(
+            f"descriptor {field} is {recorded!r}, but {function_id} has {table!r}"
+        )
+
+
 def from_descriptor(desc: dict) -> BenchmarkInstance:
     """Rebuild an instance from its descriptor dict.
 
     Shift, permutation, layout and weights come from the descriptor itself;
-    rotations are regenerated from the recorded seed.
+    rotations are regenerated from the recorded seed. The recorded bounds,
+    base, family, scalar-map constants and rotation flags must equal the
+    function table's.
     """
     if desc.get("format") != _DESCRIPTOR_FORMAT:
         raise ValueError(f"unrecognised descriptor format {desc.get('format')!r}")
@@ -538,6 +542,13 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
     if function_id not in _FUNCTIONS:
         raise ValueError(f"unknown function id {function_id!r}")
     fspec = _FUNCTIONS[function_id]
+    _flag(desc["irregularity"], "irregularity")
+    half = BOUNDS[fspec.base]
+    for field, table in (("bounds", [-half, half]), ("base", fspec.base),
+                         ("family", fspec.family), ("irregularity", fspec.irregularity),
+                         ("asymmetry_beta", fspec.asymmetry_beta),
+                         ("conditioning_alpha", fspec.conditioning_alpha)):
+        _expect(field, desc[field], table, function_id)
     dimension = int(desc["dimension"])
     perm = _decode(desc["permutation"], np.int64, "permutation").astype(np.intp)
     if sorted(perm.tolist()) != list(range(dimension)):
@@ -551,11 +562,12 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
             if entry.get("shift") is not None
             else None
         )
+        field = f"subcomponent {k} rotated"
+        _expect(field, _flag(entry["rotated"], field), fspec.rotated, function_id)
         subs.append(
             Subcomponent(
                 int(entry["start"]), int(entry["size"]), fspec.base,
-                _flag(entry["rotated"], f"subcomponent {k} rotated"),
-                float(entry["weight"]), None, local,
+                fspec.rotated, float(entry["weight"]), None, local,
             )
         )
     tail = None
@@ -567,11 +579,8 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
     _check_layout(fspec.family, dimension, shift, subs, tail)
     _, rot_ss = _streams(function_id, dimension, int(desc["seed"]))
     _rotations_for(subs, rot_ss)
-    return BenchmarkInstance(
-        function_id, dimension, int(desc["seed"]), shift, perm, subs, tail,
-        _flag(desc["irregularity"], "irregularity"), desc["asymmetry_beta"],
-        desc["conditioning_alpha"],
-    )
+    return BenchmarkInstance(function_id, dimension, int(desc["seed"]), shift, perm,
+                             subs, tail)
 
 
 def from_json(text: str) -> BenchmarkInstance:

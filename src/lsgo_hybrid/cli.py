@@ -159,8 +159,7 @@ def cmd_run(args) -> int:
         "configs": {fid: asdict(config) for fid, config in configs.items()},
     })
 
-    per_cycle = budget // base.outer_iterations
-    checkpoint_fes = [k * per_cycle for k in checkpoints]
+    checkpoint_fes = [k * base.per_cycle for k in checkpoints]
     fe_columns = [_fe_label(fe, budget) for fe in checkpoint_fes]
 
     all_rows = []
@@ -396,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale both phases' iteration counts")
     p_run.add_argument("--params", default="table2b",
                        help="table2b | tuned:FILE | explicit:PAR,CR,F")
-    p_run.add_argument("--checkpoints", default="4,20,100",
+    p_run.add_argument("--checkpoints",
+                       default=",".join(map(str, HybridConfig().checkpoints)),
                        help="outer-cycle indices to record, comma separated")
     p_run.add_argument("--parallel", type=int, default=0,
                        help="worker processes (default: all CPUs this process may use)")
@@ -418,11 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--function", required=True)
     p_tune.add_argument("--dim", type=int, default=50)
     p_tune.add_argument("--seed", type=int, default=0)
-    p_tune.add_argument("--generations", type=int, default=8)
-    p_tune.add_argument("--ga-population", type=int, default=12)
-    p_tune.add_argument("--probes", type=int, default=3)
-    p_tune.add_argument("--inner-budget", type=int, default=30_000)
-    p_tune.add_argument("--pool", type=int, default=200,
+    tuner = TunerConfig()
+    p_tune.add_argument("--generations", type=int, default=tuner.ga_generations)
+    p_tune.add_argument("--ga-population", type=int, default=tuner.ga_population)
+    p_tune.add_argument("--probes", type=int, default=tuner.probes_per_eval)
+    p_tune.add_argument("--inner-budget", type=int, default=tuner.inner_budget)
+    p_tune.add_argument("--pool", type=int, default=tuner.population_size,
                         help="pool size of the probed hybrid runs")
     p_tune.add_argument("--out")
     p_tune.set_defaults(handler=cmd_tune)

@@ -17,6 +17,10 @@ from .population import Population
 _STRATEGIES = ("rand1bin", "best1bin")
 _BOUND_RETRIES = 10
 
+# ranges of the crossover rate and scale factor; the tuner searches inside them
+CR_RANGE = (0.0, 1.0)
+F_RANGE = (0.0, 2.0)
+
 
 @dataclass
 class DeParams:
@@ -28,10 +32,10 @@ class DeParams:
     def validate(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if not 0.0 <= self.cr <= 1.0:
-            raise ValueError(f"cr must lie in [0, 1], got {self.cr}")
-        if not 0.0 <= self.f <= 2.0:
-            raise ValueError(f"f must lie in [0, 2], got {self.f}")
+        for name, (lo, hi) in (("cr", CR_RANGE), ("f", F_RANGE)):
+            v = getattr(self, name)
+            if not lo <= v <= hi:
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {v}")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
 

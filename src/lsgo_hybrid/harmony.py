@@ -14,6 +14,9 @@ import numpy as np
 
 from .population import Population
 
+# range of the pitch-adjustment rate; the tuner searches inside it
+PAR_RANGE = (0.0, 1.0)
+
 
 @dataclass
 class HarmonyParams:
@@ -26,10 +29,11 @@ class HarmonyParams:
     def validate(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        for name in ("hmcr_lo", "hmcr_hi", "par"):
+        for name, (lo, hi) in (("hmcr_lo", (0.0, 1.0)), ("hmcr_hi", (0.0, 1.0)),
+                               ("par", PAR_RANGE)):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            if not lo <= v <= hi:
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {v}")
         if self.hmcr_hi < self.hmcr_lo:
             raise ValueError("hmcr_hi must be >= hmcr_lo")
         if self.bandwidth_fraction < 0:

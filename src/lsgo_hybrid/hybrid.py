@@ -42,20 +42,21 @@ class HybridConfig:
             raise ValueError("checkpoints must be strictly increasing")
         if cps and (cps[0] < 1 or cps[-1] > self.outer_iterations):
             raise ValueError("checkpoints must lie in 1..outer_iterations")
-        per_cycle = (self.harmony.max_iterations
-                     + self.de.max_iterations * self.population_size)
-        if per_cycle < self.population_size:
+        if self.per_cycle < self.population_size:
             raise ValueError(
                 "first cycle cannot absorb the initial pool evaluation; "
                 "raise the harmony or DE iteration count"
             )
 
+    @property
+    def per_cycle(self) -> int:
+        """Evaluations of one outer cycle: the harmony schedule plus the DE sweeps."""
+        return self.harmony.max_iterations + self.de.max_iterations * self.population_size
+
 
 def fe_budget(config: HybridConfig) -> int:
     """Total function evaluations a run will consume, exactly."""
-    per_cycle = (config.harmony.max_iterations
-                 + config.de.max_iterations * config.population_size)
-    return config.outer_iterations * per_cycle
+    return config.outer_iterations * config.per_cycle
 
 
 def scaled(config: HybridConfig, budget_scale: float) -> HybridConfig:
@@ -120,8 +121,7 @@ def run(instance: BenchmarkInstance, config: HybridConfig,
     trace = [initial_best]
 
     harmony_share = config.harmony.max_iterations
-    de_share = config.de.max_iterations * config.population_size
-    per_cycle = harmony_share + de_share
+    de_share = config.per_cycle - harmony_share
     checkpoint_set = set(config.checkpoints)
     best_at_checkpoint: dict[int, float] = {}
 
@@ -141,7 +141,7 @@ def run(instance: BenchmarkInstance, config: HybridConfig,
         spent += de_run(pool, config.de, instance, rng, max_candidates=de_budget)
         trace.append(pool.best_fitness)
         if k in checkpoint_set:
-            best_at_checkpoint[k * per_cycle] = pool.best_fitness
+            best_at_checkpoint[k * config.per_cycle] = pool.best_fitness
 
     return RunResult(
         function_id=getattr(instance, "function_id", "custom"),

@@ -35,15 +35,11 @@ class Population:
         self._worst = int(np.argmax(self.fitness))
 
     @classmethod
-    def random_uniform(cls, size, dimension, bounds, rng, objective=None):
-        """Uniform draw inside the box; evaluates members when given an objective."""
+    def random_uniform(cls, size, dimension, bounds, rng, objective):
+        """Uniform draw inside the box, each member evaluated by `objective`."""
         lo, hi = bounds
         x = rng.uniform(lo, hi, size=(size, dimension))
-        if objective is None:
-            fitness = np.full(size, np.inf)
-        else:
-            fitness = np.array([objective(row) for row in x])
-        return cls(x, fitness)
+        return cls(x, np.array([objective(row) for row in x]))
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -51,10 +47,6 @@ class Population:
     @property
     def dimension(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def worst_index(self) -> int:
-        return self._worst
 
     @property
     def worst_fitness(self) -> float:
@@ -86,6 +78,3 @@ class Population:
             self.replace_worst(x, fitness)
             return True
         return False
-
-    def copy(self) -> "Population":
-        return Population(self.x.copy(), self.fitness.copy())

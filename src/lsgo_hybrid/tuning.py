@@ -17,11 +17,12 @@ from importlib import resources
 import numpy as np
 
 from .benchmarks import BenchmarkInstance
-from .de import DeParams
-from .harmony import HarmonyParams
+from .de import CR_RANGE, F_RANGE, DeParams
+from .harmony import PAR_RANGE, HarmonyParams
 from .hybrid import HybridConfig, fe_budget, run
 
-PARAM_BOUNDS = ((0.0, 1.0), (0.0, 1.0), (0.0, 2.0))
+PARAM_BOUNDS = (PAR_RANGE, CR_RANGE, F_RANGE)
+_LO, _HI = np.array(PARAM_BOUNDS).T
 
 _BLEND_ALPHA = 0.5
 _MUTATION_RATE = 0.1
@@ -47,9 +48,6 @@ class ParamVector:
             if not (lo <= value <= hi):
                 raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.par, self.cr, self.f], dtype=float)
-
 
 @dataclass
 class TunerConfig:
@@ -58,7 +56,7 @@ class TunerConfig:
     inner_budget: int = 30_000
     probes_per_eval: int = 3
     seed: int = 0
-    population_size: int = 200   # pool size of the probed hybrid runs
+    population_size: int = HybridConfig.population_size  # pool of the probed runs
 
     def validate(self):
         if self.ga_population < 2:
@@ -128,12 +126,6 @@ def _probe_fitness(instance: BenchmarkInstance, params: ParamVector,
     return total / len(probe_seeds)
 
 
-def _clamp(genes: np.ndarray) -> np.ndarray:
-    lo = np.array([b[0] for b in PARAM_BOUNDS])
-    hi = np.array([b[1] for b in PARAM_BOUNDS])
-    return np.clip(genes, lo, hi)
-
-
 def _tournament(rng: np.random.Generator, fitness: np.ndarray) -> int:
     contenders = rng.integers(0, len(fitness), size=_TOURNAMENT_SIZE)
     return int(min(contenders, key=lambda i: fitness[i]))
@@ -147,9 +139,8 @@ def _blend(rng: np.random.Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
 
 def _mutate(rng: np.random.Generator, genes: np.ndarray) -> np.ndarray:
-    ranges = np.array([hi - lo for lo, hi in PARAM_BOUNDS])
     mask = rng.random(genes.size) < _MUTATION_RATE
-    noise = rng.normal(0.0, _MUTATION_SIGMA_FRACTION * ranges)
+    noise = rng.normal(0.0, _MUTATION_SIGMA_FRACTION * (_HI - _LO))
     return np.where(mask, genes + noise, genes)
 
 
@@ -168,9 +159,7 @@ def tune(instance: BenchmarkInstance, config: TunerConfig) -> tuple[ParamVector,
         seeds = rng.integers(0, 2**63, size=config.probes_per_eval)
         return _probe_fitness(instance, ParamVector(*genes), config, seeds)
 
-    lo = np.array([b[0] for b in PARAM_BOUNDS])
-    hi = np.array([b[1] for b in PARAM_BOUNDS])
-    genomes = rng.uniform(lo, hi, size=(config.ga_population, len(PARAM_BOUNDS)))
+    genomes = rng.uniform(_LO, _HI, size=(config.ga_population, len(PARAM_BOUNDS)))
     fitness = np.array([evaluate(g) for g in genomes])
 
     for _ in range(config.ga_generations):
@@ -179,7 +168,7 @@ def tune(instance: BenchmarkInstance, config: TunerConfig) -> tuple[ParamVector,
         while len(children) < config.ga_population:
             pa = genomes[_tournament(rng, fitness)]
             pb = genomes[_tournament(rng, fitness)]
-            child = _clamp(_mutate(rng, _blend(rng, pa, pb)))
+            child = np.clip(_mutate(rng, _blend(rng, pa, pb)), _LO, _HI)
             children.append(child)
         genomes = np.array(children)
         # the elite keeps its score; only fresh children are re-probed

@@ -8,7 +8,7 @@ import pytest
 
 import lsgo_hybrid
 from lsgo_hybrid.benchmarks import from_json, make_instance
-from lsgo_hybrid.cli import OUT_DIR_ENV, main, parse_function_list
+from lsgo_hybrid.cli import OUT_DIR_ENV, build_parser, main, parse_function_list
 
 TINY_RUN = ["run", "--dim", "10", "--runs", "2", "--seed", "3",
             "--budget-scale", "0.002", "--parallel", "1"]
@@ -112,6 +112,20 @@ def test_run_custom_checkpoints_and_validation(tmp_path, capsys):
                             "--out", str(tmp_path / "bad")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_config_defaults():
+    parser = build_parser()
+    tune = parser.parse_args(["tune", "--function", "F1"])
+    tuner = lsgo_hybrid.TunerConfig()
+    assert (tune.generations, tune.ga_population, tune.probes, tune.inner_budget,
+            tune.pool) == (tuner.ga_generations, tuner.ga_population,
+                           tuner.probes_per_eval, tuner.inner_budget,
+                           tuner.population_size)
+    assert tuner.population_size == lsgo_hybrid.HybridConfig().population_size
+    run = parser.parse_args(["run", "--functions", "F1"])
+    checkpoints = tuple(int(c) for c in run.checkpoints.split(","))
+    assert checkpoints == lsgo_hybrid.HybridConfig().checkpoints
 
 
 def test_run_explicit_params(tmp_path):

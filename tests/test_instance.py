@@ -160,8 +160,17 @@ def _truncate(text):
      "irregularity must be true or false, got 'no'"),
     ("F8", ("subcomponents", 0, "rotated"), lambda _: "false",
      "subcomponent 0 rotated must be true or false"),
+    ("F8", ("irregularity",), lambda _: False,
+     "descriptor irregularity is False, but F8 has True"),
+    ("F4", ("conditioning_alpha",), lambda _: 1.0,
+     "descriptor conditioning_alpha is 1.0, but F4 has 10.0"),
+    ("F8", ("subcomponents", 0, "rotated"), lambda _: False,
+     "descriptor subcomponent 0 rotated is False, but F8 has True"),
+    ("F1", ("bounds",), lambda _: [-5.0, 5.0],
+     r"descriptor bounds is \[-5.0, 5.0\], but F1 has \[-100.0, 100.0\]"),
 ], ids=["truncated-permutation", "truncated-shift", "truncated-local-shift",
-        "string-irregularity", "string-rotated"])
+        "string-irregularity", "string-rotated", "table-irregularity",
+        "table-conditioning-alpha", "table-rotated", "table-bounds"])
 def test_descriptor_rejects_malformed_field(fid, path, corrupt, message):
     desc = make_instance(fid, DESK_DIM, 3).to_descriptor()
     *outer, key = path
@@ -342,6 +351,19 @@ def test_descriptor_round_trip_preserves_evaluations():
         for _ in range(20):
             x = rng.uniform(lo, hi, size=30)
             assert clone.evaluate(x) == inst.evaluate(x)
+
+
+@pytest.mark.parametrize("dim, seed", [(10, 20), (20, 3), (50, 1), (100, 3), (1000, 2)])
+def test_conflicting_chain_descriptor_round_trips_exactly(dim, seed):
+    # instances whose local shifts were shrunk to fit the box
+    inst = make_instance("F14", dim, seed)
+    desc = inst.to_descriptor()
+    clone = from_descriptor(desc)
+    assert clone.to_descriptor() == desc
+    rng = np.random.default_rng(seed)
+    lo, hi = inst.bounds
+    for x in [inst.optimum_preimage, *rng.uniform(lo, hi, size=(3, dim))]:
+        assert clone.evaluate(x) == inst.evaluate(x)
 
 
 def test_same_seed_same_instance_different_seed_different():
