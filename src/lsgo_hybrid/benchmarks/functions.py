@@ -29,15 +29,9 @@ def sphere(z: np.ndarray) -> float:
     return float(np.dot(z, z))
 
 
-def elliptic(z: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Weighted sphere with condition number 1e6 across coordinates.
-
-    `weights`, when given, must equal `elliptic_weights(z.size)`; instances
-    pass them precomputed.
-    """
-    if weights is None:
-        weights = elliptic_weights(z.size)
-    return float(np.dot(weights, z * z))
+def elliptic(z: np.ndarray) -> float:
+    """Weighted sphere with condition number 1e6 across coordinates."""
+    return float(np.dot(elliptic_weights(z.size), z * z))
 
 
 def elliptic_weights(n: int) -> np.ndarray:
@@ -60,7 +54,7 @@ def ackley(z: np.ndarray) -> float:
 
 def schwefel_12(z: np.ndarray) -> float:
     # sum over i of (z_1 + ... + z_i)^2, via cumulative sums
-    c = np.cumsum(z)
+    c = z.cumsum()
     return float(np.dot(c, c))
 
 

@@ -18,7 +18,10 @@ coordinates of the overlapping chains appear once per block) and
 precomputes the gather index, shifts, skew slopes, conditioning weights and
 elliptic weights in that layout. One evaluation gathers and shifts x into
 the buffer, rotates each rotated block in place, runs the scalar maps once
-over the whole buffer, and sums the weighted base function of each block.
+over the whole buffer, and sums the weighted base function of each block
+(for the elliptic base: squares the buffer once and takes one dot per block
+with its precomputed weights). Every step after the gather writes into the
+evaluation's own buffer, and nothing is stored on the instance between calls.
 """
 
 from __future__ import annotations
@@ -28,17 +31,16 @@ import binascii
 import copy
 import json
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .functions import _DISPATCH, BOUNDS, elliptic, elliptic_weights
+from .functions import _DISPATCH, BOUNDS, elliptic_weights
 from .transforms import (
     _gradient,
     conditioning_weights,
-    oscillate,
+    oscillate_inplace,
     random_orthogonal,
-    skew_graded,
+    skew_graded_inplace,
 )
 
 _DESCRIPTOR_FORMAT = "lsgo-hybrid-instance/1"
@@ -269,12 +271,13 @@ class BenchmarkInstance:
         if self.conditioning_alpha != 1.0:
             self._cond = np.concatenate(
                 [conditioning_weights(p.size, self.conditioning_alpha) for p in parts])
-        self._terms = []
-        for (a, b), p in zip(spans, parts):
-            fn = _DISPATCH[p.base]
-            if fn is elliptic:
-                fn = partial(elliptic, weights=elliptic_weights(p.size))
-            self._terms.append((a, b, p.weight, fn))
+        # (start, stop, weight, elliptic weights or base function) per block
+        self._elliptic = self.base == "elliptic"
+        self._terms = [
+            (a, b, p.weight,
+             elliptic_weights(p.size) if self._elliptic else _DISPATCH[p.base])
+            for (a, b), p in zip(spans, parts)
+        ]
 
     def _solve_optimum(self) -> np.ndarray:
         d = self.dimension
@@ -315,14 +318,19 @@ class BenchmarkInstance:
                 else:
                     np.matmul(rotation, y[a:b], out=z[a:b])
         if self.irregularity:
-            z = oscillate(z)
+            oscillate_inplace(z)
         if self._slope is not None:
-            z = skew_graded(z, self._slope)
+            skew_graded_inplace(z, self._slope)
         if self._cond is not None:
             z *= self._cond
         total = 0.0
-        for a, b, weight, fn in self._terms:
-            total += weight * fn(z[a:b])
+        if self._elliptic:
+            z *= z
+            for a, b, weight, w in self._terms:
+                total += weight * float(np.dot(w, z[a:b]))
+        else:
+            for a, b, weight, fn in self._terms:
+                total += weight * fn(z[a:b])
         return total - self._offset
 
     def evaluate(self, x) -> float:

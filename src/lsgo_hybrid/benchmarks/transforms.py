@@ -12,17 +12,35 @@ from __future__ import annotations
 import numpy as np
 
 
+# sine coefficients of `oscillate`, indexed by z > 0: (negative, positive)
+_SIN_C1 = np.array([5.5, 10.0])
+_SIN_C2 = np.array([3.1, 7.9])
+
+
 def oscillate(z: np.ndarray) -> np.ndarray:
     """Sign-preserving wobble on the log scale; fixes 0 and +-1 exactly."""
+    return oscillate_inplace(np.array(z, dtype=float))
+
+
+def oscillate_inplace(z: np.ndarray) -> np.ndarray:
+    """`oscillate` written over the float array z; returns z."""
     zero = z == 0
-    xhat = np.log(np.abs(z) + zero)  # log|z|, and 0 where z is 0
-    pos = z > 0
-    c1 = np.where(pos, 10.0, 5.5)
-    c2 = np.where(pos, 7.9, 3.1)
-    wobble = np.exp(xhat + 0.049 * (np.sin(c1 * xhat) + np.sin(c2 * xhat)))
-    np.copysign(wobble, z, out=wobble)
-    wobble[zero] = 0.0
-    return wobble
+    sign = (z > 0).view(np.uint8)
+    xhat = np.abs(z)
+    xhat += zero
+    np.log(xhat, out=xhat)  # log|z|, and 0 where z is 0
+    wobble = _SIN_C1.take(sign)
+    wobble *= xhat
+    np.sin(wobble, out=wobble)
+    s2 = _SIN_C2.take(sign)
+    s2 *= xhat
+    wobble += np.sin(s2, out=s2)
+    wobble *= 0.049
+    wobble += xhat
+    np.exp(wobble, out=wobble)
+    np.copysign(wobble, z, out=z)
+    z[zero] = 0.0
+    return z
 
 
 def skew(z: np.ndarray, beta: float) -> np.ndarray:
@@ -36,9 +54,21 @@ def skew(z: np.ndarray, beta: float) -> np.ndarray:
 
 def skew_graded(z: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """`skew` with the per-coordinate slope beta*g_i given, for blocks laid end to end."""
-    # power of |z| never sees a negative base; where() passes negatives through
-    expo = 1.0 + slope * np.sqrt(np.maximum(z, 0.0))
-    return np.where(z > 0, np.power(np.abs(z), expo), z)
+    return skew_graded_inplace(np.array(z, dtype=float), slope)
+
+
+def skew_graded_inplace(z: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """`skew_graded` written over the float array z; returns z."""
+    # the power of |z| never sees a negative base, nor zeros (a slow path of
+    # np.power); only the positive coordinates take its result
+    expo = np.maximum(z, 0.0)
+    np.sqrt(expo, out=expo)
+    expo *= slope
+    expo += 1.0
+    powered = np.abs(z)
+    np.power(powered, expo, out=powered)
+    np.putmask(z, z > 0, powered)
+    return z
 
 
 def conditioning_weights(n: int, alpha: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .benchmarks import FUNCTION_IDS, make_instance
-from .hybrid import HybridConfig, fe_budget, run_batch, scaled
+from .hybrid import HybridConfig, fe_budget, final_stats, run_batch, scaled
 from .stats.fixture import FUNCTION_LABELS, reference_median_matrix
 from .stats.ranking import DEFAULT_GROUPS, MedianMatrix
 from .stats.report import (
@@ -133,6 +133,11 @@ def _sci(x: float) -> str:
     return f"{x:.8e}"
 
 
+def _exact(x: float) -> str:
+    """Scientific notation with 17 significant digits: reads back as x itself."""
+    return f"{x:.16e}"
+
+
 def cmd_run(args) -> int:
     functions = parse_function_list(args.functions)
     out = _out_dir(args)
@@ -162,28 +167,29 @@ def cmd_run(args) -> int:
     checkpoint_fes = [k * base.per_cycle for k in checkpoints]
     fe_columns = [_fe_label(fe, budget) for fe in checkpoint_fes]
 
-    all_rows = []
-    summaries = []
-    workers = args.parallel if args.parallel else _usable_cpus()
-    for fid in sorted(functions, key=_FID_NUM.get):
-        results, summary = run_batch((fid, args.dim, args.seed), configs[fid],
-                                     n_runs=args.runs, workers=workers)
-        summaries.append(summary)
-        for r in results:
-            row = [fid, args.dim, r.seed]
-            row += [_sci(r.best_at_checkpoint[fe]) for fe in checkpoint_fes]
-            row += [_sci(r.final_best.fitness),
-                    int(round(r.wall_time_s * 1000.0)), config_hash]
-            all_rows.append(row)
-        print(f"{fid}: {args.runs} runs done, median {_sci(summary.median)}")
-
     runs_path = out / "runs.csv"
     header = ["function_id", "dim", "seed", *fe_columns,
               "final_best", "wall_ms", "config_hash"]
+    summaries = []
+    workers = args.parallel if args.parallel else _usable_cpus()
+    # each function's rows reach the file as soon as its batch ends, so an
+    # interrupted or failed command keeps every function it finished
     with open(runs_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(all_rows)
+        fh.flush()
+        for fid in sorted(functions, key=_FID_NUM.get):
+            results, summary = run_batch((fid, args.dim, args.seed), configs[fid],
+                                         n_runs=args.runs, workers=workers)
+            summaries.append(summary)
+            for r in results:
+                row = [fid, args.dim, r.seed]
+                row += [_exact(r.best_at_checkpoint[fe]) for fe in checkpoint_fes]
+                row += [_exact(r.final_best.fitness),
+                        int(round(r.wall_time_s * 1000.0)), config_hash]
+                writer.writerow(row)
+            fh.flush()
+            print(f"{fid}: {args.runs} runs done, median {_sci(summary.median)}")
 
     summary_path = out / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
@@ -203,7 +209,12 @@ def cmd_run(args) -> int:
 
 
 def audit_results(runs_path: Path, summary_path: Path):
-    """Recompute every summary row from its per-run rows; raise on mismatch."""
+    """Recompute every summary row from its per-run rows; raise on mismatch.
+
+    The per-run values are written exactly and `final_stats` is the
+    function that made the summary, so a correct pair of files matches
+    digit for digit.
+    """
     with open(runs_path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -223,23 +234,10 @@ def audit_results(runs_path: Path, summary_path: Path):
         summary_rows = list(csv.DictReader(fh))
     for row in summary_rows:
         fid = row["function_id"]
-        values = sorted(finals.get(fid, []))
-        n = len(values)
-        if n != int(row["n_runs"]):
+        values = finals.get(fid, [])
+        if len(values) != int(row["n_runs"]):
             raise ValueError(f"audit: {fid} run count mismatch")
-        mean = sum(values) / n
-        if n > 1:
-            var = sum((v - mean) ** 2 for v in values) / (n - 1)
-            stddev = var ** 0.5
-        else:
-            stddev = 0.0
-        recomputed = {
-            "best": values[0],
-            "median": values[(n + 1) // 2 - 1],
-            "worst": values[-1],
-            "mean": mean,
-            "stddev": stddev,
-        }
+        recomputed = final_stats(values)
         for key, value in recomputed.items():
             if _sci(value) != row[key]:
                 raise ValueError(

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import population
 from .population import Population
 
 _STRATEGIES = ("rand1bin", "best1bin")
+# crossover redraws the bound repair stands for (see _crossover_masks)
 _BOUND_RETRIES = 10
 
 # ranges of the crossover rate and scale factor; the tuner searches inside them
@@ -40,56 +42,85 @@ class DeParams:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
 
 
-def select_indices(pool_size: int, rng) -> tuple[int, int, int, int]:
-    """Four pairwise-distinct indices (target, then three donors)."""
+def _distinct_indices(u: np.ndarray, pool_size: int) -> np.ndarray:
+    """Rows of four pairwise-distinct indices from rows of four uniforms.
+
+    Index k is floor(u_k * (pool_size - k)), a uniform pick among the members
+    not chosen yet, stepped past each chosen index in ascending order; the
+    tuple is uniform over ordered distinct tuples.
+    """
     if pool_size < 4:
         raise ValueError("differential evolution needs a pool of at least 4")
-    x = int(rng.integers(pool_size))
-    a = x
-    while a == x:
-        a = int(rng.integers(pool_size))
-    b = a
-    while b in (x, a):
-        b = int(rng.integers(pool_size))
-    c = b
-    while c in (x, a, b):
-        c = int(rng.integers(pool_size))
-    return x, a, b, c
+    left = pool_size - np.arange(4)
+    k = (u * left).astype(np.intp)
+    np.minimum(k, left - 1, out=k)  # in case u * left rounds up to left
+    x, a, b, c = k.T  # views: stepping them steps k
+    a += a >= x
+    b += b >= np.minimum(x, a)
+    b += b >= np.maximum(x, a)
+    for chosen in np.sort(k[:, :3], axis=1).T:
+        c += c >= chosen
+    return k
+
+
+def _crossover_masks(u: np.ndarray, cr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate choices of trials from their 1 + d uniforms per row.
+
+    u[:, 0] gives the forced coordinate i_rand = floor(u * d); coordinate j
+    then takes, by its own uniform u_j:
+      u_j >= cr                the parent's value          (`keep`)
+      cr**11 <= u_j < cr       the mutant's if inside the box, else the
+                               parent's                     (`test`)
+      u_j < cr**11, or i_rand  the mutant clamped into the box.
+    A crossed coordinate outside the box thus falls back with probability
+    1 - cr**10, as if one of ten crossover redraws had picked the parent.
+    """
+    d = u.shape[1] - 1
+    i_rand = np.minimum((u[:, 0] * d).astype(np.intp), d - 1)
+    u = u[:, 1:]
+    keep = u >= cr
+    test = u >= cr ** (_BOUND_RETRIES + 1)
+    test ^= keep
+    rows = np.arange(len(u))
+    keep[rows, i_rand] = False
+    test[rows, i_rand] = False
+    return keep, test
+
+
+def _trial(pop: Population, x: int, a: int, b: int, c: int,
+           keep: np.ndarray, test: np.ndarray, params: DeParams, bounds) -> np.ndarray:
+    """One trial vector from the pool's current rows and its coordinate choices."""
+    mutant = pop.x[b] - pop.x[c]
+    mutant *= params.f
+    mutant += pop.x[pop.best_index] if params.strategy == "best1bin" else pop.x[a]
+    lo, hi = bounds
+    v = np.maximum(mutant, lo)
+    np.minimum(v, hi, out=v)
+    parent = v != mutant  # the mutant is outside the box
+    parent &= test
+    parent |= keep
+    np.putmask(v, parent, pop.x[x])
+    return v
+
+
+def select_indices(pool_size: int, rng) -> tuple[int, int, int, int]:
+    """Four pairwise-distinct indices (target, then three donors).
+
+    Draws rng.random(4): the first four doubles of a trial's draws.
+    """
+    return tuple(_distinct_indices(rng.random((1, 4)), pool_size)[0].tolist())
 
 
 def mutate_crossover(pop: Population, x: int, a: int, b: int, c: int,
                      params: DeParams, bounds, rng) -> np.ndarray:
     """Build one trial vector for target x from donors a, b, c.
 
-    Binomial crossover with a guaranteed coordinate i_rand. A crossed
-    coordinate whose mutant lies outside the box falls back to the parent
-    value with probability 1 - cr**10 (one of ten crossover redraws picks
-    the parent), independently per coordinate, else it is clamped; i_rand
-    never falls back. Draws, in order: rng.integers(d) for i_rand,
-    rng.random(d) for the crossover mask, then rng.random(n_out) over the
-    n_out out-of-box crossed coordinates in index order if n_out > 0.
+    Binomial crossover with a guaranteed coordinate i_rand and bound repair
+    as laid out in `_crossover_masks`. Draws rng.random(1 + d): the rest of
+    a trial's draws after `select_indices`.
     """
-    lo, hi = bounds
-    d = pop.dimension
-    current = pop.x[x]
-    base = pop.x[pop.best_index] if params.strategy == "best1bin" else pop.x[a]
-    mutant = base + params.f * (pop.x[b] - pop.x[c])
-
-    i_rand = int(rng.integers(d))
-    cross = rng.random(d) < params.cr
-    cross[i_rand] = True
-    v = np.where(cross, mutant, current)
-
-    out = np.flatnonzero(cross & ((v < lo) | (v > hi)))
-    if out.size:
-        # one uniform stands for the ten crossover redraws of the parent
-        fall_back = rng.random(out.size) >= params.cr ** _BOUND_RETRIES
-        fall_back[out == i_rand] = False
-        back = out[fall_back]
-        v[back] = current[back]
-        if back.size < out.size:
-            np.clip(v, lo, hi, out=v)
-    return v
+    keep, test = _crossover_masks(rng.random((1, 1 + pop.dimension)), params.cr)
+    return _trial(pop, x, a, b, c, keep[0], test[0], params, bounds)
 
 
 def de_run(pop: Population, params: DeParams, objective, rng,
@@ -101,6 +132,11 @@ def de_run(pop: Population, params: DeParams, objective, rng,
     total (for exact budget accounting) and cuts the last sweep short.
     `bounds` defaults to the objective's own `bounds` attribute.
     Returns the number of evaluations spent.
+
+    Each trial's draws are 4 + 1 + d doubles, the ones `select_indices` and
+    `mutate_crossover` take; up to `population.CHUNK` trials draw theirs in
+    one call and get their indices and coordinate choices at once, and only
+    the mutant, which reads the pool as it is, is built per trial.
     """
     params.validate()
     budget = params.max_iterations * len(pop)
@@ -110,9 +146,12 @@ def de_run(pop: Population, params: DeParams, objective, rng,
         bounds = objective.bounds
     spent = 0
     while spent < budget:
-        for _ in range(min(len(pop), budget - spent)):
-            x, a, b, c = select_indices(len(pop), rng)
-            v = mutate_crossover(pop, x, a, b, c, params, bounds, rng)
+        n = min(population.CHUNK, budget - spent)
+        u = rng.random((n, 5 + pop.dimension))
+        picks = _distinct_indices(u[:, :4], len(pop)).tolist()
+        keep, test = _crossover_masks(u[:, 4:], params.cr)
+        for (x, a, b, c), k, t in zip(picks, keep, test):
+            v = _trial(pop, x, a, b, c, k, t, params, bounds)
             pop.offer(v, objective(v))
-            spent += 1
+        spent += n
     return spent

@@ -2,7 +2,8 @@
 
 Each iteration builds one new vector: with probability hmcr it perturbs a
 randomly chosen pool member (pitch adjustment per coordinate with
-probability par), otherwise it draws a fresh uniform point. The new vector
+probability par, uniform noise within the bandwidth, then clipped to the
+box), otherwise it draws a fresh uniform point. The new vector
 replaces the pool's worst member only on strict improvement.
 """
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import population
 from .population import Population
 
 # range of the pitch-adjustment rate; the tuner searches inside it
@@ -40,26 +42,60 @@ class HarmonyParams:
             raise ValueError("bandwidth_fraction must be non-negative")
 
 
-def hmcr_schedule(iteration: int, max_iterations: int, lo: float, hi: float) -> float:
-    """Memory-consideration rate at `iteration` (1-based), rising lo -> hi."""
+def hmcr_schedule(iteration, max_iterations: int, lo: float, hi: float):
+    """Memory-consideration rate at `iteration` (1-based, int or int array),
+    rising lo -> hi."""
     if max_iterations < 2:
         return lo
     return lo + (hi - lo) * (iteration - 1) / (max_iterations - 1)
 
 
+def _harmony_draws(u: np.ndarray, hmcr, par: float, bandwidth_fraction: float,
+                   bounds, pool_size: int) -> tuple[list[int], np.ndarray]:
+    """Pool-independent part of harmony iterations from their 2 + d uniforms per row.
+
+    Row i is a memory iteration if u[i, 0] < hmcr (hmcr[i] for an array);
+    it then perturbs member floor(u[i, 1] * pool_size), adjusting coordinate
+    j iff u_j < par by the noise u_j * (2*bw/par) - bw in [-bw, bw]. Else
+    it is the fresh point lo + u_j * (hi - lo). Returns the member index per
+    row (-1 for a fresh point) and, per row, the noise (zero where not
+    adjusted) or the fresh point, written over u[:, 2:].
+    """
+    lo, hi = bounds
+    memory = u[:, 0] < hmcr
+    picks = np.minimum((u[:, 1] * pool_size).astype(np.intp), pool_size - 1)
+    fresh = np.flatnonzero(~memory)
+    picks[fresh] = -1
+    rows = u[:, 2:]
+    points = rows[fresh] * (hi - lo) + lo
+    bw = bandwidth_fraction * (hi - lo)
+    adjust = rows < par
+    rows *= 2 * bw / par if par > 0 else 0.0
+    rows -= bw
+    rows *= adjust  # unadjusted coordinates get a zero of either sign
+    rows[fresh] = points
+    return picks.tolist(), rows
+
+
+def _harmony_candidate(memory: Population, pick: int, row: np.ndarray, bounds) -> np.ndarray:
+    """The new vector of one iteration, from the pool's current member `pick`."""
+    if pick < 0:
+        return row
+    lo, hi = bounds
+    v = memory.x[pick] + row
+    np.maximum(v, lo, out=v)
+    return np.minimum(v, hi, out=v)
+
+
 def harmony_update(memory: Population, hmcr: float, par: float,
                    bandwidth_fraction: float, bounds, rng) -> np.ndarray:
-    """Construct one new vector from the pool (or uniformly at random)."""
-    lo, hi = bounds
-    d = memory.dimension
-    if rng.random() < hmcr:
-        base = memory.x[rng.integers(len(memory))]
-        bw = bandwidth_fraction * (hi - lo)
-        adjust = rng.random(d) < par
-        noise = rng.uniform(-bw, bw, d)
-        v = np.where(adjust, base + noise, base)
-        return np.clip(v, lo, hi)
-    return rng.uniform(lo, hi, d)
+    """Construct one new vector from the pool (or uniformly at random).
+
+    Draws rng.random(2 + d), laid out as in `_harmony_draws`.
+    """
+    picks, rows = _harmony_draws(rng.random((1, 2 + memory.dimension)), hmcr, par,
+                                 bandwidth_fraction, bounds, len(memory))
+    return _harmony_candidate(memory, picks[0], rows[0], bounds)
 
 
 def harmony_run(memory: Population, params: HarmonyParams, objective, rng,
@@ -71,13 +107,25 @@ def harmony_run(memory: Population, params: HarmonyParams, objective, rng,
     of the unchanged hmcr schedule; the default runs the whole schedule.
     `bounds` defaults to the objective's own `bounds` attribute.
     Returns the number of evaluations spent.
+
+    Each iteration's draws are the 2 + d doubles `harmony_update` takes; up
+    to `population.CHUNK` iterations draw theirs in one call and get their
+    branches, indices, noise and fresh points at once, and only the
+    perturbed member, read from the pool as it is, is added per iteration.
     """
     params.validate()
     first, last = iteration_window or (1, params.max_iterations)
-    lo, hi = bounds if bounds is not None else objective.bounds
-    for it in range(first, last + 1):
-        hmcr = hmcr_schedule(it, params.max_iterations, params.hmcr_lo, params.hmcr_hi)
-        v = harmony_update(memory, hmcr, params.par,
-                           params.bandwidth_fraction, (lo, hi), rng)
-        memory.offer(v, objective(v))
+    bounds = bounds if bounds is not None else objective.bounds
+    it = first
+    while it <= last:
+        n = min(population.CHUNK, last - it + 1)
+        hmcr = hmcr_schedule(np.arange(it, it + n), params.max_iterations,
+                             params.hmcr_lo, params.hmcr_hi)
+        picks, rows = _harmony_draws(rng.random((n, 2 + memory.dimension)), hmcr,
+                                     params.par, params.bandwidth_fraction, bounds,
+                                     len(memory))
+        for pick, row in zip(picks, rows):
+            v = _harmony_candidate(memory, pick, row, bounds)
+            memory.offer(v, objective(v))
+        it += n
     return max(0, last - first + 1)

@@ -156,26 +156,28 @@ def run(instance: BenchmarkInstance, config: HybridConfig,
     )
 
 
-def summarize(results: list[RunResult]) -> BatchSummary:
-    """Five-number summary; the median is the ceil(n/2)-th order statistic."""
-    finals = sorted(r.final_best.fitness for r in results)
+def final_stats(finals) -> dict[str, float]:
+    """Best, median, worst, mean and stddev of final values; the median is
+    the ceil(n/2)-th order statistic."""
+    finals = sorted(finals)
     n = len(finals)
     if n == 0:
         raise ValueError("no results to summarise")
-    median = finals[(n + 1) // 2 - 1]
-    mean = sum(finals) / n
-    stddev = float(np.std(finals, ddof=1)) if n > 1 else 0.0
+    return {
+        "best": finals[0],
+        "median": finals[(n + 1) // 2 - 1],
+        "worst": finals[-1],
+        "mean": sum(finals) / n,
+        "stddev": float(np.std(finals, ddof=1)) if n > 1 else 0.0,
+    }
+
+
+def summarize(results: list[RunResult]) -> BatchSummary:
+    """`final_stats` of the runs' final best values."""
+    stats = final_stats(r.final_best.fitness for r in results)
     first = results[0]
-    return BatchSummary(
-        function_id=first.function_id,
-        dimension=first.dimension,
-        n_runs=n,
-        best=finals[0],
-        median=median,
-        worst=finals[-1],
-        mean=mean,
-        stddev=stddev,
-    )
+    return BatchSummary(function_id=first.function_id, dimension=first.dimension,
+                        n_runs=len(results), **stats)
 
 
 def _batch_worker(args) -> RunResult:

@@ -8,7 +8,13 @@ import pytest
 
 import lsgo_hybrid
 from lsgo_hybrid.benchmarks import from_json, make_instance
-from lsgo_hybrid.cli import OUT_DIR_ENV, build_parser, main, parse_function_list
+from lsgo_hybrid.cli import (
+    OUT_DIR_ENV,
+    audit_results,
+    build_parser,
+    main,
+    parse_function_list,
+)
 
 TINY_RUN = ["run", "--dim", "10", "--runs", "2", "--seed", "3",
             "--budget-scale", "0.002", "--parallel", "1"]
@@ -325,6 +331,46 @@ def test_bench_info_unknown_function(tmp_path, capsys):
     assert main(["bench-info", "--function", "F16", "--dim", "40",
                  "--seed", "2", "--out", str(tmp_path / "x")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_audit_matches_exactly_and_catches_a_changed_summary(tmp_path):
+    out = tmp_path / "exp"
+    # five runs per function give a mean and a stddev of five rounded inputs
+    assert main(["run", "--dim", "10", "--runs", "5", "--seed", "3",
+                 "--budget-scale", "0.002", "--parallel", "1",
+                 "--functions", "F1,F2,F3", "--audit", "--out", str(out)]) == 0
+    runs = _read(out / "runs.csv")
+    finals = [float(r[runs[0].index("final_best")]) for r in runs[1:]]
+    assert all(float(f"{v:.16e}") == v for v in finals)
+
+    summary = _read(out / "summary.csv")
+    column = summary[0].index("stddev")
+    mantissa, exponent = summary[1][column].split("e")
+    summary[1][column] = f"{float(mantissa) + 1e-8:.8f}e{exponent}"
+    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(summary)
+    with pytest.raises(ValueError, match="stddev"):
+        audit_results(out / "runs.csv", out / "summary.csv")
+
+
+def test_runs_csv_keeps_finished_functions_when_a_later_one_fails(tmp_path, monkeypatch):
+    real_run_batch = lsgo_hybrid.cli.run_batch
+    out = tmp_path / "exp"
+    on_disk = []
+
+    def failing_second(spec, *args, **kwargs):
+        # what a process killed at this moment would leave behind
+        on_disk.append(_read(out / "runs.csv"))
+        if len(on_disk) == 2:
+            raise RuntimeError("worker lost")
+        return real_run_batch(spec, *args, **kwargs)
+
+    monkeypatch.setattr(lsgo_hybrid.cli, "run_batch", failing_second)
+    assert main(TINY_RUN + ["--functions", "F1,F2", "--out", str(out)]) == 1
+    before_first, before_second = on_disk
+    assert len(before_first) == 1 and before_first[0][:3] == ["function_id", "dim", "seed"]
+    assert [(r[0], r[2]) for r in before_second[1:]] == [("F1", "0"), ("F1", "1")]
+    assert _read(out / "runs.csv") == before_second
 
 
 def test_out_dir_env_variable(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lsgo_hybrid import population
 from lsgo_hybrid.de import DeParams, de_run, mutate_crossover, select_indices
 from lsgo_hybrid.population import Population
 
@@ -157,30 +158,104 @@ def test_repair_with_zero_cr_clamps_only_the_forced_coordinate():
 
 def test_draw_layout_is_pinned():
     # rebuild each trial from a copy of the generator with the documented
-    # draws: integers(d), random(d), then random(n_out)
+    # draws: four index doubles, one for i_rand, then one per coordinate
     dim, (lo, hi) = 40, (-1.0, 1.0)
     pool = _pool(size=8, dim=dim, seed=4, bounds=(lo, hi))
     params = DeParams(cr=0.8, f=1.9)
     rng = np.random.default_rng(23)
     partial = 0
     for _ in range(30):
-        x, a, b, c = select_indices(len(pool), rng)
         replay = np.random.default_rng()
         replay.bit_generator.state = rng.bit_generator.state
+        x, a, b, c = select_indices(len(pool), rng)
         trial = mutate_crossover(pool, x, a, b, c, params, (lo, hi), rng)
 
+        u = replay.random(4 + 1 + dim)
+        picked = []
+        for k in range(4):
+            r = int(u[k] * (len(pool) - k))
+            for s in sorted(picked):
+                r += r >= s
+            picked.append(r)
+        assert (x, a, b, c) == tuple(picked)
+        i_rand = int(u[4] * dim)
         mutant = pool.x[a] + params.f * (pool.x[b] - pool.x[c])
-        i_rand = int(replay.integers(dim))
-        cross = replay.random(dim) < params.cr
-        cross[i_rand] = True
-        v = np.where(cross, mutant, pool.x[x])
-        out = np.flatnonzero(cross & ((v < lo) | (v > hi)))
-        fall_back = replay.random(out.size) >= params.cr ** 10
-        fall_back[out == i_rand] = False
-        v[out[fall_back]] = pool.x[x][out[fall_back]]
-        expected = np.clip(v, lo, hi)
+        expected = pool.x[x].copy()
+        fell_back = clamped = 0
+        for j, uj in enumerate(u[5:]):
+            inside = lo <= mutant[j] <= hi
+            if j == i_rand or uj < params.cr ** 11:
+                expected[j] = min(max(mutant[j], lo), hi)
+                clamped += not inside
+            elif uj < params.cr:
+                if inside:
+                    expected[j] = mutant[j]
+                fell_back += not inside
 
         assert np.array_equal(trial, expected)
         assert replay.bit_generator.state == rng.bit_generator.state
-        partial += 0 < np.count_nonzero(fall_back) < out.size
+        partial += fell_back > 0 and clamped > 0
     assert partial > 0  # some trials both fell back and clamped
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("strategy", ["rand1bin", "best1bin"])
+def test_de_run_is_a_loop_of_the_public_steps(monkeypatch, chunk, strategy):
+    # the chunked sweep draws and decides exactly what one trial at a time does
+    monkeypatch.setattr(population, "CHUNK", chunk)
+    bounds = (-2.0, 2.0)  # small enough that mutants leave the box
+    params = DeParams(max_iterations=5, cr=0.7, f=1.2, strategy=strategy)
+    chunked = _pool(size=9, dim=6, seed=30, bounds=bounds)
+    stepped = _pool(size=9, dim=6, seed=30, bounds=bounds)
+    rng_chunked, rng_stepped = np.random.default_rng(31), np.random.default_rng(31)
+
+    spent = de_run(chunked, params, sphere, rng_chunked, max_candidates=40,
+                   bounds=bounds)
+    for _ in range(40):
+        x, a, b, c = select_indices(len(stepped), rng_stepped)
+        v = mutate_crossover(stepped, x, a, b, c, params, bounds, rng_stepped)
+        stepped.offer(v, sphere(v))
+
+    assert spent == 40
+    assert np.array_equal(chunked.x, stepped.x)
+    assert np.array_equal(chunked.fitness, stepped.fitness)
+    assert rng_chunked.bit_generator.state == rng_stepped.bit_generator.state
+    assert not np.array_equal(chunked.x, _pool(size=9, dim=6, seed=30, bounds=bounds).x)
+
+
+def test_select_indices_is_uniform_over_distinct_tuples():
+    size, n = 7, 20000
+    rng = np.random.default_rng(24)
+    picks = np.array([select_indices(size, rng) for _ in range(n)])
+    assert all(len(set(row)) == 4 for row in picks.tolist())
+    p = 1 / size
+    for k in range(4):
+        share = np.bincount(picks[:, k], minlength=size) / n
+        assert np.all(np.abs(share - p) <= 5 * np.sqrt(p * (1 - p) / n))
+    # ordered (target, first donor) pairs are uniform too
+    pairs = np.bincount(picks[:, 0] * size + picks[:, 1], minlength=size * size)
+    p = 1 / (size * (size - 1))
+    off_diagonal = pairs.reshape(size, size)[~np.eye(size, dtype=bool)] / n
+    assert np.all(np.abs(off_diagonal - p) <= 5 * np.sqrt(p * (1 - p) / n))
+
+
+def test_zero_cr_takes_the_mutant_only_at_the_forced_coordinate():
+    pool = _pool(size=8, dim=10, seed=32)
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        x, a, b, c = select_indices(len(pool), rng)
+        trial = mutate_crossover(pool, x, a, b, c, DeParams(cr=0.0, f=0.5),
+                                 (-10.0, 10.0), rng)
+        assert np.count_nonzero(trial != pool.x[x]) == 1
+
+
+def test_full_cr_takes_the_clamped_mutant_everywhere():
+    bounds = (-2.0, 2.0)
+    pool = _pool(size=8, dim=10, seed=34, bounds=bounds)
+    rng = np.random.default_rng(35)
+    params = DeParams(cr=1.0, f=1.5)
+    for _ in range(50):
+        x, a, b, c = select_indices(len(pool), rng)
+        trial = mutate_crossover(pool, x, a, b, c, params, bounds, rng)
+        mutant = pool.x[a] + params.f * (pool.x[b] - pool.x[c])
+        assert np.array_equal(trial, np.clip(mutant, *bounds))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lsgo_hybrid.harmony import HarmonyParams, harmony_run, hmcr_schedule
+from lsgo_hybrid import population
+from lsgo_hybrid.harmony import HarmonyParams, harmony_run, harmony_update, hmcr_schedule
 from lsgo_hybrid.population import Population
 
 
@@ -117,3 +118,94 @@ def test_replacement_targets_the_worst_only():
                 bounds=(-10.0, 10.0))
     # the worst can only improve, never degrade
     assert pool.worst_fitness <= worst_before
+
+
+def test_draw_layout_is_pinned():
+    # rebuild each iteration from a copy of the generator with the documented
+    # draws: one for the branch, one for the member, then one per coordinate
+    dim, (lo, hi) = 30, (-1.0, 1.0)
+    pool = _pool(size=8, dim=dim, seed=4, bounds=(lo, hi))
+    hmcr, par, fraction = 0.6, 0.3, 0.05
+    bw = fraction * (hi - lo)
+    rng = np.random.default_rng(25)
+    branches = set()
+    for _ in range(40):
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        v = harmony_update(pool, hmcr, par, fraction, (lo, hi), rng)
+
+        u = replay.random(2 + dim)
+        if u[0] < hmcr:
+            base = pool.x[int(u[1] * len(pool))]
+            adjust = u[2:] < par
+            expected = np.clip(np.where(adjust, base + (u[2:] * (2 * bw / par) - bw), base),
+                               lo, hi)
+        else:
+            expected = lo + (hi - lo) * u[2:]
+        branches.add(bool(u[0] < hmcr))
+
+        assert np.array_equal(v, expected)
+        assert replay.bit_generator.state == rng.bit_generator.state
+    assert branches == {True, False}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_harmony_run_is_a_loop_of_the_public_steps(monkeypatch, chunk):
+    # the chunked window draws and decides exactly what one step at a time does
+    monkeypatch.setattr(population, "CHUNK", chunk)
+    bounds = (-10.0, 10.0)
+    params = HarmonyParams(max_iterations=200, hmcr_lo=0.5, hmcr_hi=0.95, par=0.4,
+                           bandwidth_fraction=0.05)
+    chunked = _pool(size=9, dim=6, seed=40)
+    stepped = _pool(size=9, dim=6, seed=40)
+    rng_chunked, rng_stepped = np.random.default_rng(41), np.random.default_rng(41)
+
+    spent = harmony_run(chunked, params, sphere, rng_chunked, iteration_window=(3, 150),
+                        bounds=bounds)
+    for it in range(3, 151):
+        hmcr = hmcr_schedule(it, params.max_iterations, params.hmcr_lo, params.hmcr_hi)
+        v = harmony_update(stepped, hmcr, params.par, params.bandwidth_fraction, bounds,
+                           rng_stepped)
+        stepped.offer(v, sphere(v))
+
+    assert spent == 148
+    assert np.array_equal(chunked.x, stepped.x)
+    assert np.array_equal(chunked.fitness, stepped.fitness)
+    assert rng_chunked.bit_generator.state == rng_stepped.bit_generator.state
+    assert not np.array_equal(chunked.x, _pool(size=9, dim=6, seed=40).x)
+
+
+def test_pitch_adjustment_law():
+    # every member at the centre: the new vector is the noise itself
+    dim, trials, par, fraction, bounds = 50, 400, 0.3, 0.01, (-10.0, 10.0)
+    bw = fraction * (bounds[1] - bounds[0])
+    pool = Population(np.zeros((5, dim)), np.zeros(5))
+    rng = np.random.default_rng(26)
+    noise = np.array([harmony_update(pool, 1.0, par, fraction, bounds, rng)
+                      for _ in range(trials)])
+    adjusted = noise[noise != 0]
+    n = noise.size
+    assert abs(adjusted.size / n - par) <= 5 * np.sqrt(par * (1 - par) / n)
+    assert np.all(np.abs(adjusted) <= bw)
+    assert abs(adjusted.mean()) <= 5 * (bw / np.sqrt(3)) / np.sqrt(adjusted.size)
+
+
+def test_fresh_points_fill_the_box():
+    dim, bounds = 50, (-3.0, 5.0)
+    pool = _pool(size=5, dim=dim, seed=27, bounds=bounds)
+    rng = np.random.default_rng(28)
+    fresh = np.array([harmony_update(pool, 0.0, 0.4, 0.01, bounds, rng)
+                      for _ in range(200)])
+    assert np.all((fresh >= bounds[0]) & (fresh < bounds[1]))
+    n = fresh.size
+    # uniform on [-3, 5): mean 1, standard deviation 8 / sqrt(12)
+    assert abs(fresh.mean() - 1.0) <= 5 * (8 / np.sqrt(12)) / np.sqrt(n)
+    assert not any(np.array_equal(row, member) for row in fresh for member in pool.x)
+
+
+def test_zero_par_copies_a_member_unchanged():
+    pool = _pool(size=6, dim=8, seed=29)
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        v = harmony_update(pool, 1.0, 0.0, 0.5, (-10.0, 10.0), rng)
+        assert any(np.array_equal(v, member) for member in pool.x)

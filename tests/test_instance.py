@@ -62,9 +62,7 @@ def _reference_evaluate(inst, x):
     return total - inst._offset
 
 
-_EXACT_CASES = [(fid, 50) for fid in FUNCTION_IDS] + [
-    (fid, 1000) for fid in ("F4", "F8", "F13", "F14", "F15")
-]
+_EXACT_CASES = [(fid, dim) for dim in (50, 1000) for fid in FUNCTION_IDS]
 
 
 @pytest.mark.parametrize("fid,dim", _EXACT_CASES)
@@ -77,6 +75,19 @@ def test_evaluate_equals_block_by_block_reference_exactly(fid, dim):
     points += [opt + rng.normal(size=dim) * 1e-3 for _ in range(4)]
     for x in points:
         assert inst.evaluate(x) == _reference_evaluate(inst, x)
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_evaluate_leaves_x_alone_and_repeats(fid):
+    # evaluation writes only into its own buffers
+    inst = make_instance(fid, DESK_DIM, 5)
+    x = np.random.default_rng(int(fid[1:])).uniform(*inst.bounds, size=DESK_DIM)
+    x.setflags(write=False)
+    kept = x.copy()
+    first = inst.evaluate(x)
+    assert np.array_equal(x, kept)
+    assert inst.evaluate(x) == first
+    assert inst.evaluate(kept) == first
 
 
 @pytest.mark.parametrize("fid", ["F1", "F4", "F7", "F8", "F11", "F13", "F15"])
