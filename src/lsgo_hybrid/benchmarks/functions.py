@@ -2,7 +2,9 @@
 
 All functions map a real vector z to a finite non-negative scalar and are
 minimised at the all-zeros vector, except Rosenbrock which is minimised at
-the all-ones vector.
+the all-ones vector. Each one reduces over the last axis only: a 2-d
+C-ordered array gives one value per row, and every sum is a row sum, so a
+row's value does not depend on how many rows there are.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ BASE_FUNCTIONS = tuple(BOUNDS)
 _MIN_LEN_2 = ("schwefel_12", "rosenbrock")
 
 
-def sphere(z: np.ndarray) -> float:
-    return float(np.dot(z, z))
+def sphere(z: np.ndarray):
+    return (z * z).sum(axis=-1)
 
 
-def elliptic(z: np.ndarray) -> float:
+def elliptic(z: np.ndarray):
     """Weighted sphere with condition number 1e6 across coordinates."""
-    return float(np.dot(elliptic_weights(z.size), z * z))
+    return (elliptic_weights(z.shape[-1]) * (z * z)).sum(axis=-1)
 
 
 def elliptic_weights(n: int) -> np.ndarray:
@@ -41,27 +43,27 @@ def elliptic_weights(n: int) -> np.ndarray:
     return 10.0 ** (6.0 * np.arange(n) / (n - 1))
 
 
-def rastrigin(z: np.ndarray) -> float:
-    return float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0))
+def rastrigin(z: np.ndarray):
+    return (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=-1)
 
 
-def ackley(z: np.ndarray) -> float:
-    n = z.size
-    rms = np.sqrt(np.dot(z, z) / n)
-    mean_cos = np.sum(np.cos(2.0 * np.pi * z)) / n
-    return float(-20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + np.e)
+def ackley(z: np.ndarray):
+    n = z.shape[-1]
+    rms = np.sqrt((z * z).sum(axis=-1) / n)
+    mean_cos = np.cos(2.0 * np.pi * z).sum(axis=-1) / n
+    return -20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + np.e
 
 
-def schwefel_12(z: np.ndarray) -> float:
+def schwefel_12(z: np.ndarray):
     # sum over i of (z_1 + ... + z_i)^2, via cumulative sums
-    c = z.cumsum()
-    return float(np.dot(c, c))
+    c = z.cumsum(axis=-1)
+    return (c * c).sum(axis=-1)
 
 
-def rosenbrock(z: np.ndarray) -> float:
-    a = z[:-1]
-    b = z[1:]
-    return float(np.sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2))
+def rosenbrock(z: np.ndarray):
+    a = z[..., :-1]
+    b = z[..., 1:]
+    return (100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2).sum(axis=-1)
 
 
 _DISPATCH = {
@@ -93,4 +95,4 @@ def eval_base(name: str, z: np.ndarray) -> float:
         raise ValueError("non-finite coordinate in input vector")
     if name in _MIN_LEN_2 and z.size < 2:
         raise ValueError(f"{name} needs at least 2 coordinates, got {z.size}")
-    return fn(z)
+    return float(fn(z))

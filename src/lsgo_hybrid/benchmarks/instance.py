@@ -12,16 +12,24 @@ Instances are self-generated from (function_id, dimension, seed) alone and
 are bit-identical across calls with the same triple. Every instance knows a
 preimage of its optimum, and evaluating there gives a value <= 1e-6.
 
-Evaluation has one x -> z path. `_prepare` lays every block's coordinates
-end to end in one buffer (subcomponents first, then the tail; shared
-coordinates of the overlapping chains appear once per block) and
-precomputes the gather index, shifts, skew slopes, conditioning weights and
-elliptic weights in that layout. One evaluation gathers and shifts x into
-the buffer, rotates each rotated block in place, runs the scalar maps once
-over the whole buffer, and sums the weighted base function of each block
-(for the elliptic base: squares the buffer once and takes one dot per block
-with its precomputed weights). Every step after the gather writes into the
-evaluation's own buffer, and nothing is stored on the instance between calls.
+Evaluation has one x -> z path, and it evaluates rows in groups of G.
+`_prepare` lays every block's coordinates end to end in one buffer
+(subcomponents first, then the tail; shared coordinates of the overlapping
+chains appear once per block) and precomputes the gather index, shifts,
+skew slopes, conditioning weights and elliptic weights in that layout. One
+group of at most G rows is gathered and shifted into a C-ordered buffer of
+one row per candidate; each rotated block is rotated as R @ Y.T, where Y is
+that block's columns of a G-row buffer whose unused rows are zero; the
+scalar maps run once over the whole buffer; and the weighted base function
+of each block is a row-wise reduction (for the elliptic base the buffer is
+squared and weighted once, and each block is a row sum). `evaluate(x)` is
+the one-row case, so a lone evaluation gives the same bits as that row of
+any batch: the rotation product always has G columns, and a column of it
+depends neither on its position nor on the other columns (a test checks
+this for every rotated block size, as a BLAS could break it; Y @ R.T is
+not invariant at one BLAS thread), and the maps and row reductions treat
+each row alone. Every step after the gather writes into the call's own
+buffers, and nothing is stored on the instance between calls.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ from .transforms import (
 )
 
 _DESCRIPTOR_FORMAT = "lsgo-hybrid-instance/1"
+
+# Rows per evaluation group; every rotation product has exactly G columns.
+G = 16
 
 # Canonical block-size proportions; literal sizes at dimension 1000 for the
 # tailed family (550 non-separable coordinates plus a 450-coordinate tail).
@@ -219,7 +230,7 @@ class BenchmarkInstance:
     """
 
     def __init__(self, function_id, dimension, seed, shift, permutation,
-                 subcomponents, tail):
+                 subcomponents, tail, solution=None):
         fspec = _FUNCTIONS[function_id]
         self.function_id = function_id
         self.dimension = int(dimension)
@@ -238,7 +249,7 @@ class BenchmarkInstance:
         self.eval_count = 0
         self._offset = 0.0
         self._prepare()
-        self._optimum = self._solve_optimum()
+        self._optimum = self._solve_optimum(solution)
 
     # construction helpers
 
@@ -271,18 +282,25 @@ class BenchmarkInstance:
         if self.conditioning_alpha != 1.0:
             self._cond = np.concatenate(
                 [conditioning_weights(p.size, self.conditioning_alpha) for p in parts])
-        # (start, stop, weight, elliptic weights or base function) per block
-        self._elliptic = self.base == "elliptic"
+        # elliptic weights over the whole layout; then (start, stop, weight,
+        # base function or None for a plain row sum) per block
+        self._elliptic = None
+        if self.base == "elliptic":
+            self._elliptic = np.concatenate([elliptic_weights(p.size) for p in parts])
         self._terms = [
-            (a, b, p.weight,
-             elliptic_weights(p.size) if self._elliptic else _DISPATCH[p.base])
+            (a, b, p.weight, None if self._elliptic is not None else _DISPATCH[p.base])
             for (a, b), p in zip(spans, parts)
         ]
 
-    def _solve_optimum(self) -> np.ndarray:
+    def _solve_optimum(self, solution=None) -> np.ndarray:
+        """Optimum preimage; `solution` is the conflicting chain's
+        `_conflict_least_squares` result if the caller already has it."""
         d = self.dimension
         if self.family == "overlap_conflicting":
-            y = _conflict_least_squares(self.subcomponents, d, self.conditioning_alpha)
+            y = solution
+            if y is None:
+                y = _conflict_least_squares(self.subcomponents, d,
+                                            self.conditioning_alpha)
         else:
             # zero is a fixed point of every map, so the preimage of the
             # all-zeros target is the shift itself; the Rosenbrock chain's
@@ -299,39 +317,57 @@ class BenchmarkInstance:
             raise ValueError("optimum preimage escaped the bounds")
         if self.family == "overlap_conflicting":
             self._offset = 0.0
-            self._offset = self._evaluate_raw(x)
+            self._offset = float(self._evaluate_group(x[np.newaxis])[0])
         return x
 
     # evaluation
 
-    def _evaluate_raw(self, x: np.ndarray) -> float:
-        z = x[self._gather]
+    def _evaluate_group(self, x: np.ndarray) -> np.ndarray:
+        """Values of the rows of x, an (m, dimension) array with m <= G."""
+        m = len(x)
+        if self._rotations is None:
+            z = np.take(x, self._gather, axis=1)
+        else:
+            padded = np.zeros((G, self._gather.size))
+            z = padded[:m]
+            np.take(x, self._gather, axis=1, out=z)
         if self._shift is not None:
             z -= self._shift
         if self._local_shift is not None:
             z -= self._local_shift
         if self._rotations is not None:
-            y, z = z, np.empty_like(z)
             for a, b, rotation in self._rotations:
-                if rotation is None:
-                    z[a:b] = y[a:b]
-                else:
-                    np.matmul(rotation, y[a:b], out=z[a:b])
+                if rotation is not None:
+                    z[:, a:b] = (rotation @ padded[:, a:b].T)[:, :m].T
         if self.irregularity:
             oscillate_inplace(z)
         if self._slope is not None:
             skew_graded_inplace(z, self._slope)
         if self._cond is not None:
             z *= self._cond
-        total = 0.0
-        if self._elliptic:
+        if self._elliptic is not None:
             z *= z
-            for a, b, weight, w in self._terms:
-                total += weight * float(np.dot(w, z[a:b]))
-        else:
-            for a, b, weight, fn in self._terms:
-                total += weight * fn(z[a:b])
-        return total - self._offset
+            z *= self._elliptic
+        total = np.zeros(m)
+        for a, b, weight, fn in self._terms:
+            block = z[:, a:b]
+            total += weight * (block.sum(axis=1) if fn is None else fn(block))
+        total -= self._offset
+        return total
+
+    def evaluate_batch(self, x) -> np.ndarray:
+        """Objective values of the rows of x, an (m, dimension) array, in
+        groups of G rows; increments eval_count by m."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.dimension:
+            raise ValueError(
+                f"expected an (m, {self.dimension}) array, got shape {x.shape}"
+            )
+        self.eval_count += len(x)
+        out = np.empty(len(x))
+        for i in range(0, len(x), G):
+            out[i : i + G] = self._evaluate_group(x[i : i + G])
+        return out
 
     def evaluate(self, x) -> float:
         """Objective value at x; increments eval_count by one."""
@@ -340,8 +376,7 @@ class BenchmarkInstance:
             raise ValueError(
                 f"expected a vector of length {self.dimension}, got shape {x.shape}"
             )
-        self.eval_count += 1
-        return self._evaluate_raw(x)
+        return float(self.evaluate_batch(x[np.newaxis])[0])
 
     __call__ = evaluate
 
@@ -479,22 +514,28 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
         for (start, size), w, ls in zip(sub_layout, weights, local_shifts)
     ]
     _rotations_for(subs, rot_ss)
+    solution = None
     if conflicting:
         # conflicting targets can push the compromise point outside the box;
         # the solution is linear in the local shifts, so one common shrink
         # factor pins the exact optimum inside the central band; shrinking
-        # here, not in the constructor, lets descriptors rebuild these shifts
-        y =_conflict_least_squares(subs, dimension, fspec.conditioning_alpha)
+        # here, not in the constructor, lets descriptors rebuild these shifts.
+        # Without a shrink the constructor takes this solution as it is; after
+        # one it solves again, as rescaling y would not give the bits of a
+        # solve on the rescaled shifts that a descriptor rebuild makes.
+        solution = _conflict_least_squares(subs, dimension, fspec.conditioning_alpha)
         cap = 0.8 * half
-        peak = float(np.max(np.abs(y)))
+        peak = float(np.max(np.abs(solution)))
         if peak > cap:
             for sub in subs:
                 sub.local_shift = sub.local_shift * (cap / peak)
+            solution = None
     tail = None
     if tail_layout is not None:
         tail = Subcomponent(tail_layout[0], tail_layout[1], fspec.base, False, 1.0)
 
-    return BenchmarkInstance(function_id, dimension, seed, shift, perm, subs, tail)
+    return BenchmarkInstance(function_id, dimension, seed, shift, perm, subs, tail,
+                             solution)
 
 
 def _check_layout(family, dimension, shift, subs, tail):

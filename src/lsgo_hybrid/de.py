@@ -87,9 +87,12 @@ def _crossover_masks(u: np.ndarray, cr: float) -> tuple[np.ndarray, np.ndarray]:
     return keep, test
 
 
-def _trial(pop: Population, x: int, a: int, b: int, c: int,
-           keep: np.ndarray, test: np.ndarray, params: DeParams, bounds) -> np.ndarray:
-    """One trial vector from the pool's current rows and its coordinate choices."""
+def _trials(pop: Population, picks: np.ndarray, keep: np.ndarray, test: np.ndarray,
+            params: DeParams, bounds) -> np.ndarray:
+    """Trial vectors, one per row of (x, a, b, c) `picks` and of the coordinate
+    choices, from the pool's current rows; each row's arithmetic is that of
+    a lone trial."""
+    x, a, b, c = picks.T
     mutant = pop.x[b] - pop.x[c]
     mutant *= params.f
     mutant += pop.x[pop.best_index] if params.strategy == "best1bin" else pop.x[a]
@@ -120,7 +123,7 @@ def mutate_crossover(pop: Population, x: int, a: int, b: int, c: int,
     a trial's draws after `select_indices`.
     """
     keep, test = _crossover_masks(rng.random((1, 1 + pop.dimension)), params.cr)
-    return _trial(pop, x, a, b, c, keep[0], test[0], params, bounds)
+    return _trials(pop, np.array([[x, a, b, c]]), keep, test, params, bounds)[0]
 
 
 def de_run(pop: Population, params: DeParams, objective, rng,
@@ -135,8 +138,12 @@ def de_run(pop: Population, params: DeParams, objective, rng,
 
     Each trial's draws are 4 + 1 + d doubles, the ones `select_indices` and
     `mutate_crossover` take; up to `population.CHUNK` trials draw theirs in
-    one call and get their indices and coordinate choices at once, and only
-    the mutant, which reads the pool as it is, is built per trial.
+    one call and get their indices and coordinate choices at once. The
+    trials are then built from the pool as it is, evaluated and offered in
+    the rank-safe batches of `Population.offer_batches` (a trial reads rows
+    x, a, b and c), which give exactly the one-trial-at-a-time result.
+    best1bin also reads the best row, which any accepted offer can replace,
+    so its trials go one at a time.
     """
     params.validate()
     budget = params.max_iterations * len(pop)
@@ -144,14 +151,17 @@ def de_run(pop: Population, params: DeParams, objective, rng,
         budget = min(budget, max_candidates)
     if bounds is None:
         bounds = objective.bounds
+    evaluate = population.batch_evaluator(objective)
+    cap = 1 if params.strategy == "best1bin" else population.BATCH
     spent = 0
     while spent < budget:
         n = min(population.CHUNK, budget - spent)
         u = rng.random((n, 5 + pop.dimension))
-        picks = _distinct_indices(u[:, :4], len(pop)).tolist()
+        picks = _distinct_indices(u[:, :4], len(pop))
         keep, test = _crossover_masks(u[:, 4:], params.cr)
-        for (x, a, b, c), k, t in zip(picks, keep, test):
-            v = _trial(pop, x, a, b, c, k, t, params, bounds)
-            pop.offer(v, objective(v))
+        pop.offer_batches(
+            picks.tolist(), cap,
+            lambda i, j: _trials(pop, picks[i:j], keep[i:j], test[i:j], params, bounds),
+            evaluate)
         spent += n
     return spent

@@ -51,7 +51,7 @@ def hmcr_schedule(iteration, max_iterations: int, lo: float, hi: float):
 
 
 def _harmony_draws(u: np.ndarray, hmcr, par: float, bandwidth_fraction: float,
-                   bounds, pool_size: int) -> tuple[list[int], np.ndarray]:
+                   bounds, pool_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Pool-independent part of harmony iterations from their 2 + d uniforms per row.
 
     Row i is a memory iteration if u[i, 0] < hmcr (hmcr[i] for an array);
@@ -74,17 +74,21 @@ def _harmony_draws(u: np.ndarray, hmcr, par: float, bandwidth_fraction: float,
     rows -= bw
     rows *= adjust  # unadjusted coordinates get a zero of either sign
     rows[fresh] = points
-    return picks.tolist(), rows
+    return picks, rows
 
 
-def _harmony_candidate(memory: Population, pick: int, row: np.ndarray, bounds) -> np.ndarray:
-    """The new vector of one iteration, from the pool's current member `pick`."""
-    if pick < 0:
-        return row
+def _harmony_candidates(memory: Population, picks: np.ndarray, rows: np.ndarray,
+                        bounds) -> np.ndarray:
+    """New vectors of iterations from their `_harmony_draws`: the pool's
+    current member picks[i] plus rows[i], clamped to the box, or rows[i]
+    itself for a fresh point."""
     lo, hi = bounds
-    v = memory.x[pick] + row
+    v = memory.x[picks] + rows  # a fresh point's -1 reads a row it then drops
     np.maximum(v, lo, out=v)
-    return np.minimum(v, hi, out=v)
+    np.minimum(v, hi, out=v)
+    fresh = picks < 0
+    v[fresh] = rows[fresh]
+    return v
 
 
 def harmony_update(memory: Population, hmcr: float, par: float,
@@ -95,7 +99,7 @@ def harmony_update(memory: Population, hmcr: float, par: float,
     """
     picks, rows = _harmony_draws(rng.random((1, 2 + memory.dimension)), hmcr, par,
                                  bandwidth_fraction, bounds, len(memory))
-    return _harmony_candidate(memory, picks[0], rows[0], bounds)
+    return _harmony_candidates(memory, picks, rows, bounds)[0]
 
 
 def harmony_run(memory: Population, params: HarmonyParams, objective, rng,
@@ -110,12 +114,16 @@ def harmony_run(memory: Population, params: HarmonyParams, objective, rng,
 
     Each iteration's draws are the 2 + d doubles `harmony_update` takes; up
     to `population.CHUNK` iterations draw theirs in one call and get their
-    branches, indices, noise and fresh points at once, and only the
-    perturbed member, read from the pool as it is, is added per iteration.
+    branches, indices, noise and fresh points at once. The new vectors are
+    then built from the pool as it is, evaluated and offered in the
+    rank-safe batches of `Population.offer_batches` (an iteration reads its
+    member, a fresh point no row), which give exactly the
+    one-iteration-at-a-time result.
     """
     params.validate()
     first, last = iteration_window or (1, params.max_iterations)
     bounds = bounds if bounds is not None else objective.bounds
+    evaluate = population.batch_evaluator(objective)
     it = first
     while it <= last:
         n = min(population.CHUNK, last - it + 1)
@@ -124,8 +132,9 @@ def harmony_run(memory: Population, params: HarmonyParams, objective, rng,
         picks, rows = _harmony_draws(rng.random((n, 2 + memory.dimension)), hmcr,
                                      params.par, params.bandwidth_fraction, bounds,
                                      len(memory))
-        for pick, row in zip(picks, rows):
-            v = _harmony_candidate(memory, pick, row, bounds)
-            memory.offer(v, objective(v))
+        memory.offer_batches(
+            [(p,) if p >= 0 else () for p in picks.tolist()], population.BATCH,
+            lambda i, j: _harmony_candidates(memory, picks[i:j], rows[i:j], bounds),
+            evaluate)
         it += n
     return max(0, last - first + 1)

@@ -60,17 +60,18 @@ def fe_budget(config: HybridConfig) -> int:
 
 
 def scaled(config: HybridConfig, budget_scale: float) -> HybridConfig:
-    """Uniformly scale both phases' iteration counts (each floored at 1)."""
+    """Uniformly scale both phases' iteration counts; a positive count is
+    floored at 1 and a zero count, a phase switched off, stays 0."""
     if budget_scale <= 0:
         raise ValueError("budget_scale must be positive")
+
+    def scale(n: int) -> int:
+        return max(1, round(n * budget_scale)) if n > 0 else 0
+
     return replace(
         config,
-        harmony=replace(config.harmony,
-                        max_iterations=max(1, round(config.harmony.max_iterations
-                                                    * budget_scale))),
-        de=replace(config.de,
-                   max_iterations=max(1, round(config.de.max_iterations
-                                               * budget_scale))),
+        harmony=replace(config.harmony, max_iterations=scale(config.harmony.max_iterations)),
+        de=replace(config.de, max_iterations=scale(config.de.max_iterations)),
     )
 
 
@@ -113,8 +114,7 @@ def run(instance: BenchmarkInstance, config: HybridConfig,
     rng = _rng_for(config.seed, run_index)
 
     pool = Population.random_uniform(
-        config.population_size, instance.dimension, instance.bounds,
-        rng, instance.evaluate,
+        config.population_size, instance.dimension, instance.bounds, rng, instance,
     )
     spent = config.population_size
     initial_best = pool.best_fitness

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lsgo_hybrid import population
+from lsgo_hybrid.benchmarks import make_instance
 from lsgo_hybrid.de import DeParams, de_run, mutate_crossover, select_indices
 from lsgo_hybrid.population import Population
 
@@ -221,6 +222,43 @@ def test_de_run_is_a_loop_of_the_public_steps(monkeypatch, chunk, strategy):
     assert np.array_equal(chunked.fitness, stepped.fitness)
     assert rng_chunked.bit_generator.state == rng_stepped.bit_generator.state
     assert not np.array_equal(chunked.x, _pool(size=9, dim=6, seed=30, bounds=bounds).x)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 16])
+@pytest.mark.parametrize("size", [9, 60])
+@pytest.mark.parametrize("terraced", [False, True], ids=["F8", "terraces"])
+@pytest.mark.parametrize("strategy", ["rand1bin", "best1bin"])
+def test_batched_de_run_is_a_loop_of_the_public_steps(monkeypatch, batch_recorder,
+                                                      terraces, cap, terraced, size,
+                                                      strategy):
+    # rank-safe batches build, evaluate and offer exactly what one trial at a
+    # time does, with a batch-capable objective; on terraces fitness ties
+    monkeypatch.setattr(population, "BATCH", cap)
+    inst = terraces if terraced else make_instance("F8", 10, 3)
+    objective = batch_recorder(inst)
+    params = DeParams(max_iterations=20, cr=0.7, f=1.2, strategy=strategy)
+    batched = _pool(size=size, dim=10, seed=32, objective=inst, bounds=inst.bounds)
+    stepped = _pool(size=size, dim=10, seed=32, objective=inst, bounds=inst.bounds)
+    start = batched.x.copy()
+    rng_batched, rng_stepped = np.random.default_rng(33), np.random.default_rng(33)
+
+    spent = de_run(batched, params, objective, rng_batched, max_candidates=150)
+    for _ in range(150):
+        x, a, b, c = select_indices(len(stepped), rng_stepped)
+        v = mutate_crossover(stepped, x, a, b, c, params, inst.bounds, rng_stepped)
+        stepped.offer(v, inst(v))
+
+    assert spent == sum(objective.sizes) == 150
+    assert np.array_equal(batched.x, stepped.x)
+    assert np.array_equal(batched.fitness, stepped.fitness)
+    assert rng_batched.bit_generator.state == rng_stepped.bit_generator.state
+    assert not np.array_equal(batched.x, start)
+    assert max(objective.sizes) <= cap
+    if strategy == "best1bin":
+        # any accepted offer can replace the best row a trial reads
+        assert set(objective.sizes) == {1}
+    elif cap > 1:
+        assert max(objective.sizes) > 1
 
 
 def test_select_indices_is_uniform_over_distinct_tuples():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lsgo_hybrid import population
+from lsgo_hybrid.benchmarks import make_instance
 from lsgo_hybrid.harmony import HarmonyParams, harmony_run, harmony_update, hmcr_schedule
 from lsgo_hybrid.population import Population
 
@@ -173,6 +174,41 @@ def test_harmony_run_is_a_loop_of_the_public_steps(monkeypatch, chunk):
     assert np.array_equal(chunked.fitness, stepped.fitness)
     assert rng_chunked.bit_generator.state == rng_stepped.bit_generator.state
     assert not np.array_equal(chunked.x, _pool(size=9, dim=6, seed=40).x)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 16])
+@pytest.mark.parametrize("size", [9, 60])
+@pytest.mark.parametrize("terraced", [False, True], ids=["F8", "terraces"])
+def test_batched_harmony_run_is_a_loop_of_the_public_steps(monkeypatch, batch_recorder,
+                                                           terraces, cap, terraced, size):
+    # rank-safe batches build, evaluate and offer exactly what one iteration
+    # at a time does, with a batch-capable objective; on terraces fitness ties
+    monkeypatch.setattr(population, "BATCH", cap)
+    inst = terraces if terraced else make_instance("F8", 10, 3)
+    objective = batch_recorder(inst)
+    params = HarmonyParams(max_iterations=200, hmcr_lo=0.5, hmcr_hi=0.95, par=0.4,
+                           bandwidth_fraction=0.05)
+    batched = _pool(size=size, dim=10, seed=42, objective=inst, bounds=inst.bounds)
+    stepped = _pool(size=size, dim=10, seed=42, objective=inst, bounds=inst.bounds)
+    start = batched.x.copy()
+    rng_batched, rng_stepped = np.random.default_rng(43), np.random.default_rng(43)
+
+    spent = harmony_run(batched, params, objective, rng_batched,
+                        iteration_window=(3, 180))
+    for it in range(3, 181):
+        hmcr = hmcr_schedule(it, params.max_iterations, params.hmcr_lo, params.hmcr_hi)
+        v = harmony_update(stepped, hmcr, params.par, params.bandwidth_fraction,
+                           inst.bounds, rng_stepped)
+        stepped.offer(v, inst(v))
+
+    assert spent == sum(objective.sizes) == 178
+    assert np.array_equal(batched.x, stepped.x)
+    assert np.array_equal(batched.fitness, stepped.fitness)
+    assert rng_batched.bit_generator.state == rng_stepped.bit_generator.state
+    assert not np.array_equal(batched.x, start)
+    assert max(objective.sizes) <= cap
+    if cap > 1:
+        assert max(objective.sizes) > 1
 
 
 def test_pitch_adjustment_law():

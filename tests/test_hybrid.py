@@ -12,6 +12,7 @@ from lsgo_hybrid.hybrid import (
     scaled,
     summarize,
 )
+from lsgo_hybrid.population import Population
 
 
 def _tiny(pop=10, outer=3, harmony=50, de=4, checkpoints=(1, 3), seed=0):
@@ -47,6 +48,29 @@ def test_scaled_floors_iteration_counts_at_one():
     assert config.de.max_iterations == 1
     with pytest.raises(ValueError):
         scaled(HybridConfig(), 0.0)
+
+
+def test_scaled_keeps_a_switched_off_phase_at_zero():
+    harmony_only = scaled(HybridConfig(de=DeParams(max_iterations=0)), 0.5)
+    assert harmony_only.de.max_iterations == 0
+    assert harmony_only.harmony.max_iterations == 5_000
+    assert fe_budget(harmony_only) == 500_000
+    de_only = scaled(HybridConfig(harmony=HarmonyParams(max_iterations=0)), 0.5)
+    assert de_only.harmony.max_iterations == 0
+    assert de_only.de.max_iterations == 50
+    assert fe_budget(de_only) == 1_000_000
+
+
+def test_initial_pool_is_evaluated_in_batches(batch_recorder):
+    inst = make_instance("F13", 20, 0)
+    objective = batch_recorder(inst)
+    rng_batched, rng_lone = np.random.default_rng(5), np.random.default_rng(5)
+    batched = Population.random_uniform(37, 20, inst.bounds, rng_batched, objective)
+    lone = Population.random_uniform(37, 20, inst.bounds, rng_lone, inst.evaluate)
+    assert objective.sizes == [37]
+    assert inst.eval_count == 74
+    assert np.array_equal(batched.x, lone.x)
+    assert np.array_equal(batched.fitness, lone.fitness)
 
 
 def test_run_consumes_exactly_the_budget():

@@ -13,6 +13,8 @@ from lsgo_hybrid.benchmarks import (
     make_instance,
     random_orthogonal,
 )
+from lsgo_hybrid.benchmarks import instance as instance_mod
+from lsgo_hybrid.benchmarks.instance import G
 
 DESK_DIM = 50
 
@@ -40,8 +42,16 @@ def _skew_masked(z, beta):
     return out
 
 
+def _rotate_alone(rotation, v):
+    """Row 0 of the kernel's product: v as the first of G rows, the rest zero."""
+    rows = np.zeros((G, v.size))
+    rows[0] = v
+    return (rotation @ rows.T)[:, 0]
+
+
 def _reference_evaluate(inst, x):
-    """Block-by-block evaluation: every block shifted, rotated and mapped alone."""
+    """Block-by-block evaluation: every block shifted, rotated and mapped alone,
+    and each base function a row sum."""
     y = x - inst.shift if inst.shift is not None else x
     y = y[inst.permutation]
     parts = list(inst.subcomponents) + ([inst.tail] if inst.tail is not None else [])
@@ -51,7 +61,7 @@ def _reference_evaluate(inst, x):
         if p.local_shift is not None:
             v = v - p.local_shift
         if p.rotation is not None:
-            v = p.rotation @ v
+            v = _rotate_alone(p.rotation, v)
         if inst.irregularity:
             v = _oscillate_masked(v)
         if inst.asymmetry_beta:
@@ -375,6 +385,28 @@ def test_conflicting_chain_descriptor_round_trips_exactly(dim, seed):
     lo, hi = inst.bounds
     for x in [inst.optimum_preimage, *rng.uniform(lo, hi, size=(3, dim))]:
         assert clone.evaluate(x) == inst.evaluate(x)
+
+
+@pytest.mark.parametrize("seed, shrunk", [(3, False), (0, True), (10, True)])
+def test_conflicting_chain_is_solved_once_unless_shrunk(monkeypatch, seed, shrunk):
+    # generation solves the least-squares problem to decide the shrink; the
+    # constructor reuses that solution unless the local shifts were shrunk
+    solve = instance_mod._conflict_least_squares
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(instance_mod, "_conflict_least_squares", counting)
+    inst = make_instance("F14", DESK_DIM, seed)
+    assert len(calls) == (2 if shrunk else 1)
+    calls.clear()
+    clone = from_descriptor(inst.to_descriptor())
+    assert len(calls) == 1
+    assert clone.to_descriptor() == inst.to_descriptor()
+    assert np.array_equal(clone.optimum_preimage, inst.optimum_preimage)
+    assert clone._offset == inst._offset
 
 
 def test_same_seed_same_instance_different_seed_different():

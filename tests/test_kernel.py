@@ -1,0 +1,119 @@
+"""The evaluation kernel: a row's value is the same alone and in any batch."""
+
+import numpy as np
+import pytest
+
+from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
+from lsgo_hybrid.benchmarks.instance import G
+
+_CASES = [(fid, dim) for dim in (50, 1000) for fid in FUNCTION_IDS]
+
+
+def _points(inst, m, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(*inst.bounds, size=(m, inst.dimension))
+    # near the optimum z has small coordinates of both signs, and exact zeros
+    x[0] = inst.optimum_preimage
+    if m > 1:
+        x[1] = inst.optimum_preimage + rng.normal(size=inst.dimension) * 1e-3
+    return x
+
+
+@pytest.mark.parametrize("fid,dim", _CASES)
+def test_lone_evaluate_equals_its_batch_row(fid, dim):
+    inst = make_instance(fid, dim, 4)
+    for m in (1, 3, 15, 16, 17, 37):
+        x = _points(inst, m, [dim, int(fid[1:]), m])
+        batch = inst.evaluate_batch(x)
+        assert batch.shape == (m,)
+        assert np.array_equal(batch, [inst.evaluate(row) for row in x])
+
+
+@pytest.mark.parametrize("fid,dim", _CASES)
+def test_row_value_ignores_position_and_neighbours(fid, dim):
+    inst = make_instance(fid, dim, 5)
+    rng = np.random.default_rng([dim, int(fid[1:])])
+    v = rng.uniform(*inst.bounds, size=dim)
+    alone = inst.evaluate(v)
+    for pos in range(G + 3):
+        x = rng.uniform(*inst.bounds, size=(G + 3, dim))
+        x[pos] = v
+        assert inst.evaluate_batch(x)[pos] == alone
+        assert inst.evaluate_batch(x[: pos + 1])[pos] == alone
+
+
+def _rotated_block_sizes():
+    sizes = set()
+    for dim in (50, 1000):
+        for fid in FUNCTION_IDS:
+            inst = make_instance(fid, dim, 0)
+            sizes.update(s.size for s in inst.subcomponents if s.rotation is not None)
+    return sorted(sizes)
+
+
+_SIZES = _rotated_block_sizes()
+
+
+def test_rotated_block_sizes_are_known():
+    # the sizes of the GEMM test below; they depend on the layout, not the seed
+    assert _SIZES == [5, 6, 7, 9, 10, 12, 16, 25, 45, 49, 50, 91, 99, 100, 182, 197,
+                      200, 364, 394, 1000]
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_rotation_product_column_ignores_position_and_neighbours(n):
+    # The kernel rotates a block as R @ Y.T, Y being the block's columns of a
+    # G-row buffer; a column of that product must not depend on where its row
+    # sits nor on the other rows, or a lone evaluation would differ from its
+    # batch row. A BLAS that breaks this fails here rather than drifting.
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v = rng.uniform(-100.0, 100.0, size=n)
+    alone = np.zeros((G, n + 7))
+    alone[0, 3 : 3 + n] = v
+    expected = (q @ alone[:, 3 : 3 + n].T)[:, 0]
+    contiguous = np.zeros((G, n))
+    contiguous[0] = v
+    assert np.array_equal((q @ contiguous.T)[:, 0], expected)
+    for pos in range(G):
+        for neighbours in (np.zeros((G, n + 7)), rng.uniform(-100.0, 100.0, (G, n + 7))):
+            neighbours[pos, 3 : 3 + n] = v
+            column = (q @ neighbours[:, 3 : 3 + n].T)[:, pos]
+            assert np.array_equal(column, expected), (n, pos)
+
+
+def test_eval_count_counts_rows():
+    inst = make_instance("F8", 50, 0)
+    x = np.zeros((37, 50))
+    inst.evaluate_batch(x)
+    assert inst.eval_count == 37
+    inst.evaluate(x[0])
+    assert inst.eval_count == 38
+    inst.evaluate_batch(x[:0])
+    assert inst.eval_count == 38
+
+
+def test_empty_batch_gives_an_empty_array():
+    inst = make_instance("F15", 50, 0)
+    out = inst.evaluate_batch(np.zeros((0, 50)))
+    assert out.shape == (0,)
+    assert out.dtype == np.float64
+
+
+def test_batch_shape_errors():
+    inst = make_instance("F4", 50, 0)
+    for bad in (np.zeros(50), np.zeros((3, 49)), np.zeros((2, 3, 50))):
+        with pytest.raises(ValueError, match=r"\(m, 50\) array"):
+            inst.evaluate_batch(bad)
+    with pytest.raises(ValueError, match="length 50"):
+        inst.evaluate(np.zeros((1, 50)))
+    assert inst.eval_count == 0
+
+
+def test_batch_accepts_lists_and_other_memory_orders():
+    inst = make_instance("F13", 50, 2)
+    x = np.random.default_rng(3).uniform(*inst.bounds, size=(5, 50))
+    expected = inst.evaluate_batch(x)
+    assert np.array_equal(inst.evaluate_batch(np.asfortranarray(x)), expected)
+    assert np.array_equal(inst.evaluate_batch(x.tolist()), expected)
+    assert np.array_equal(inst.evaluate_batch(x[::-1])[::-1], expected)
