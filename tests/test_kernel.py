@@ -5,6 +5,7 @@ import pytest
 
 from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
 from lsgo_hybrid.benchmarks.instance import G
+from lsgo_hybrid.benchmarks.transforms import sin_inplace
 
 _CASES = [(fid, dim) for dim in (50, 1000) for fid in FUNCTION_IDS]
 
@@ -80,6 +81,45 @@ def test_rotation_product_column_ignores_position_and_neighbours(n):
             neighbours[pos, 3 : 3 + n] = v
             column = (q @ neighbours[:, 3 : 3 + n].T)[:, pos]
             assert np.array_equal(column, expected), (n, pos)
+
+
+def _sin_arguments(n, seed):
+    # the arguments oscillate feeds its sines: c * log|z| over many scales,
+    # plus zeros and multiples of pi
+    rng = np.random.default_rng(seed)
+    x = 10.0 * np.log(rng.uniform(1e-12, 1e3, size=n)) * rng.choice([-1.0, 1.0], size=n)
+    x[::5] = 0.0
+    x[1::7] = np.arange(x[1::7].size) * np.pi
+    return x
+
+
+def _sin_alone(x):
+    return np.array([sin_inplace(np.array([v]))[0] for v in x])
+
+
+def test_sine_bits_ignore_length_offset_stride_and_layout():
+    # The oscillation map's sines run over whole G-row buffers, so an element's
+    # bits must not depend on the array around it, or a lone evaluation would
+    # differ from its batch row; this rests on numpy's SIMD tan treating the
+    # tail elements of an array like its body.
+    x = _sin_arguments(70 + 8, 0)
+    alone = _sin_alone(x)
+    for offset in range(9):
+        for n in range(1, 71):
+            buf = x.copy()
+            sin_inplace(buf[offset : offset + n])
+            got = buf[offset : offset + n]
+            assert np.array_equal(got, alone[offset : offset + n]), (offset, n)
+    wide = _sin_arguments(7 * 70, 1)
+    for stride in (2, 3, 7):
+        buf = wide.copy()
+        sin_inplace(buf[::stride])
+        assert np.array_equal(buf[::stride], _sin_alone(wide[::stride])), stride
+    rows = _sin_arguments(G * 37, 2).reshape(G, 37)
+    for col in (0, 5, 36):
+        buf = rows.copy()
+        sin_inplace(buf[:, col])
+        assert np.array_equal(buf[:, col], _sin_alone(rows[:, col])), col
 
 
 def test_eval_count_counts_rows():

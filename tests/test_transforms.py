@@ -7,11 +7,44 @@ from lsgo_hybrid.benchmarks import (
     random_orthogonal,
     skew,
 )
+from lsgo_hybrid.benchmarks.transforms import sin_inplace
 
 
 def test_oscillate_fixed_points():
     z = np.array([0.0, 1.0, -1.0])
     assert np.allclose(oscillate(z), z, atol=1e-12)
+
+
+def test_oscillate_fixes_zero_and_plus_minus_one_exactly():
+    out = oscillate(np.array([0.0, 1.0, -1.0]))
+    assert np.array_equal(out, [0.0, 1.0, -1.0])
+
+
+_SIN_POINTS = {
+    "wide": lambda rng: rng.uniform(-1e4, 1e4, size=2_000_000),
+    "narrow": lambda rng: rng.uniform(-100.0, 100.0, size=1_000_000),
+    "tiny": lambda rng: rng.uniform(-1e-6, 1e-6, size=100_000),
+    "half_pi_multiples": lambda rng: np.arange(-1909, 1910) * (np.pi / 2),  # to +-3000
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIN_POINTS))
+def test_sin_inplace_is_within_a_few_ulp_of_np_sin(name):
+    x = _SIN_POINTS[name](np.random.default_rng(11))
+    ref = np.sin(x)
+    err = np.abs(sin_inplace(x) - ref)
+    assert err.max() <= 2.0**-51
+    # relative error in ulp of np.sin(x), away from the zeros of sin
+    away = np.abs(ref) > 1e-3
+    assert np.all(err[away] <= 4.0 * np.spacing(np.abs(ref[away])))
+
+
+def test_sin_inplace_keeps_zero_and_writes_in_place():
+    x = np.array([0.0, -0.0, np.pi / 6])
+    assert sin_inplace(x) is x
+    assert np.array_equal(np.signbit(x[:2]), [False, True])
+    assert x[0] == 0.0 and x[1] == 0.0
+    assert x[2] == pytest.approx(0.5, abs=2.0**-52)
 
 
 def test_oscillate_preserves_sign_and_monotone_on_positives():
