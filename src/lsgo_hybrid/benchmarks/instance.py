@@ -16,13 +16,15 @@ Evaluation has one x -> z path, and it evaluates rows in groups of G.
 `_prepare` lays every block's coordinates end to end in one buffer
 (subcomponents first, then the tail; shared coordinates of the overlapping
 chains appear once per block) and precomputes the gather index, shifts,
-skew slopes, conditioning weights and elliptic weights in that layout. One
-group of at most G rows is gathered and shifted into a C-ordered buffer of
-one row per candidate; each rotated block is rotated as R @ Y.T, where Y is
-that block's columns of a G-row buffer whose unused rows are zero; the
-scalar maps run once over the whole buffer; and the weighted base function
-of each block is a row-wise reduction (for the elliptic base the buffer is
-squared and weighted once, and each block is a row sum). `evaluate(x)` is
+skew slopes and conditioning weights in that layout. One group of at most G
+rows is gathered and shifted into a C-ordered buffer of one row per
+candidate; each rotated block is rotated as R @ Y.T, where Y is that
+block's columns of a G-row buffer whose unused rows are zero; the
+oscillation and skew maps run as one log-space pass over the whole buffer;
+and the weighted base function of each block is a row-wise reduction. For
+the elliptic base the value is a single row sum of z*z times one vector
+that folds each block's weight, its elliptic weights and its squared
+conditioning weights. `evaluate(x)` is
 the one-row case, so a lone evaluation gives the same bits as that row of
 any batch: the rotation product always has G columns, and a column of it
 depends neither on its position nor on the other columns (a test checks
@@ -46,9 +48,8 @@ from .functions import _DISPATCH, BOUNDS, elliptic_weights
 from .transforms import (
     _gradient,
     conditioning_weights,
-    oscillate_inplace,
+    oscillate_skew_inplace,
     random_orthogonal,
-    skew_graded_inplace,
 )
 
 _DESCRIPTOR_FORMAT = "lsgo-hybrid-instance/1"
@@ -274,23 +275,31 @@ class BenchmarkInstance:
         self._rotations = None
         if any(p.rotation is not None for p in parts):
             self._rotations = [(a, b, p.rotation) for (a, b), p in zip(spans, parts)]
+        # the function table pairs the two maps: every id with the oscillation
+        # map has a skew slope, and the one without (F14) has neither
         self._slope = None
-        if self.asymmetry_beta:
+        if self.irregularity:
             self._slope = self.asymmetry_beta * np.concatenate(
                 [_gradient(p.size) for p in parts])
+        # elliptic ids: block weight x elliptic weights x squared conditioning
+        # weights in one vector, so the value is one weighted row sum of z*z;
+        # other bases keep (start, stop, weight, base function) per block
+        alpha = self.conditioning_alpha
         self._cond = None
-        if self.conditioning_alpha != 1.0:
-            self._cond = np.concatenate(
-                [conditioning_weights(p.size, self.conditioning_alpha) for p in parts])
-        # elliptic weights over the whole layout; then (start, stop, weight,
-        # base function or None for a plain row sum) per block
-        self._elliptic = None
+        self._row_weights = None
+        self._terms = None
         if self.base == "elliptic":
-            self._elliptic = np.concatenate([elliptic_weights(p.size) for p in parts])
-        self._terms = [
-            (a, b, p.weight, None if self._elliptic is not None else _DISPATCH[p.base])
-            for (a, b), p in zip(spans, parts)
-        ]
+            self._row_weights = np.concatenate([
+                p.weight * elliptic_weights(p.size)
+                * conditioning_weights(p.size, alpha) ** 2
+                for p in parts
+            ])
+        else:
+            if alpha != 1.0:
+                self._cond = np.concatenate(
+                    [conditioning_weights(p.size, alpha) for p in parts])
+            self._terms = [(a, b, p.weight, _DISPATCH[p.base])
+                           for (a, b), p in zip(spans, parts)]
 
     def _solve_optimum(self, solution=None) -> np.ndarray:
         """Optimum preimage; `solution` is the conflicting chain's
@@ -339,19 +348,18 @@ class BenchmarkInstance:
             for a, b, rotation in self._rotations:
                 if rotation is not None:
                     z[:, a:b] = (rotation @ padded[:, a:b].T)[:, :m].T
-        if self.irregularity:
-            oscillate_inplace(z)
         if self._slope is not None:
-            skew_graded_inplace(z, self._slope)
-        if self._cond is not None:
-            z *= self._cond
-        if self._elliptic is not None:
+            oscillate_skew_inplace(z, self._slope)
+        if self._row_weights is not None:
             z *= z
-            z *= self._elliptic
-        total = np.zeros(m)
-        for a, b, weight, fn in self._terms:
-            block = z[:, a:b]
-            total += weight * (block.sum(axis=1) if fn is None else fn(block))
+            z *= self._row_weights
+            total = z.sum(axis=1)
+        else:
+            if self._cond is not None:
+                z *= self._cond
+            total = np.zeros(m)
+            for a, b, weight, fn in self._terms:
+                total += weight * fn(z[:, a:b])
         total -= self._offset
         return total
 

@@ -19,26 +19,44 @@ _SIN_C2 = np.array([3.1, 7.9])
 
 def oscillate(z: np.ndarray) -> np.ndarray:
     """Sign-preserving wobble on the log scale; fixes 0 and +-1 exactly."""
-    return oscillate_inplace(np.array(z, dtype=float))
+    return oscillate_skew_inplace(np.array(z, dtype=float), 0.0)
 
 
-def oscillate_inplace(z: np.ndarray) -> np.ndarray:
-    """`oscillate` written over the float array z; returns z."""
+def oscillate_skew_inplace(z: np.ndarray, slope: np.ndarray | float) -> np.ndarray:
+    """`skew` after `oscillate`, in log space, written over the float array z;
+    returns z. `slope` is the per-coordinate beta*g_i (blocks laid end to end)
+    or a scalar; with slope 0 this is `oscillate` alone.
+
+    With w = log|oscillate(z)| = log|z| + 0.049*(sin(c1*log|z|) + sin(c2*log|z|)),
+    the result is sign(z) * exp(w*E), E = 1 + slope*exp(w/2) where z > 0 and
+    E = 1 elsewhere: oscillate(z)^(1 + slope*sqrt(oscillate(z))) written with
+    two exp calls in place of exp, sqrt and power. 0 and +-1 map to
+    themselves exactly, and each element's bits depend on its value and slope
+    alone, not on the array's length, offset or stride.
+    """
     zero = z == 0
-    sign = (z > 0).view(np.uint8)
-    xhat = np.abs(z)
-    xhat += zero
-    np.log(xhat, out=xhat)  # log|z|, and 0 where z is 0
-    wobble = _SIN_C1.take(sign)
-    wobble *= xhat
-    sin_inplace(wobble)
+    pos = z > 0
+    sign = pos.view(np.uint8)
+    w = np.abs(z)
+    w[zero] = 1.0
+    np.log(w, out=w)  # log|z|, and 0 where z is 0
+    s1 = _SIN_C1.take(sign)
+    s1 *= w
+    sin_inplace(s1)
     s2 = _SIN_C2.take(sign)
-    s2 *= xhat
-    wobble += sin_inplace(s2)
-    wobble *= 0.049
-    wobble += xhat
-    np.exp(wobble, out=wobble)
-    np.copysign(wobble, z, out=z)
+    s2 *= w
+    s1 += sin_inplace(s2)
+    s1 *= 0.049
+    w += s1  # log|oscillate(z)|
+    # E: exp(w/2) is finite for every finite z, so the mask leaves exactly 1
+    np.multiply(w, 0.5, out=s1)
+    np.exp(s1, out=s1)
+    s1 *= slope
+    s1 *= pos
+    s1 += 1.0
+    w *= s1
+    np.exp(w, out=w)
+    np.copysign(w, z, out=z)
     z[zero] = 0.0
     return z
 
@@ -68,21 +86,12 @@ def skew(z: np.ndarray, beta: float) -> np.ndarray:
     g_i ramps 0..1 over the block; negative coordinates pass through, so the
     map fixes 0 and 1 at every index.
     """
-    return skew_graded(z, beta * _gradient(z.size))
-
-
-def skew_graded(z: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """`skew` with the per-coordinate slope beta*g_i given, for blocks laid end to end."""
-    return skew_graded_inplace(np.array(z, dtype=float), slope)
-
-
-def skew_graded_inplace(z: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """`skew_graded` written over the float array z; returns z."""
+    z = np.array(z, dtype=float)
     # the power of |z| never sees a negative base, nor zeros (a slow path of
     # np.power); only the positive coordinates take its result
     expo = np.maximum(z, 0.0)
     np.sqrt(expo, out=expo)
-    expo *= slope
+    expo *= beta * _gradient(z.size)
     expo += 1.0
     powered = np.abs(z)
     np.power(powered, expo, out=powered)

@@ -10,9 +10,10 @@ from .benchmarks.instance import G
 
 # The largest number of candidates a phase draws in one rng.random call.
 # Each candidate's draws are a fixed-length run of doubles, so this bounds
-# the draw buffer (64 x 1005 doubles is about 0.5 MB at D=1000) without
-# changing any result.
-CHUNK = 64
+# the draw buffer (256 x 1005 doubles is about 2 MB at D=1000) without
+# changing any result. A DE sweep of the paper's 200-member pool fits in one
+# draw, so its rank-safe batches do not end early at a chunk edge.
+CHUNK = 256
 
 # The largest number of candidates a phase evaluates in one call: one group
 # of the benchmark kernel. Batches never change a result (see offer_batches).

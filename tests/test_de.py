@@ -199,10 +199,11 @@ def test_draw_layout_is_pinned():
     assert partial > 0  # some trials both fell back and clamped
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("chunk", [1, 7, 64, 256])
 @pytest.mark.parametrize("strategy", ["rand1bin", "best1bin"])
 def test_de_run_is_a_loop_of_the_public_steps(monkeypatch, chunk, strategy):
-    # the chunked sweep draws and decides exactly what one trial at a time does
+    # the chunked sweep draws and decides exactly what one trial at a time
+    # does, whether the 40 trials take many chunks or one (chunk 256)
     monkeypatch.setattr(population, "CHUNK", chunk)
     bounds = (-2.0, 2.0)  # small enough that mutants leave the box
     params = DeParams(max_iterations=5, cr=0.7, f=1.2, strategy=strategy)

@@ -150,9 +150,10 @@ def test_draw_layout_is_pinned():
     assert branches == {True, False}
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("chunk", [1, 7, 64, 256])
 def test_harmony_run_is_a_loop_of_the_public_steps(monkeypatch, chunk):
-    # the chunked window draws and decides exactly what one step at a time does
+    # the chunked window draws and decides exactly what one step at a time
+    # does, whether the 148 steps take many chunks or one (chunk 256)
     monkeypatch.setattr(population, "CHUNK", chunk)
     bounds = (-10.0, 10.0)
     params = HarmonyParams(max_iterations=200, hmcr_lo=0.5, hmcr_hi=0.95, par=0.4,

@@ -25,6 +25,74 @@ def _sin(x):
     return (t + t) / (1.0 + t * t)
 
 
+def _gradient(n):
+    return np.arange(n) / (n - 1) if n > 1 else np.zeros(n)
+
+
+def _oscillate_skew_masked(z, slope):
+    """The evaluation's scalar maps: w = log|oscillate(z)|, then
+    exp(w * (1 + slope * exp(w/2))) on positives and -exp(w) on negatives."""
+    out = np.zeros_like(z)
+    pos = z > 0
+    neg = z < 0
+    if pos.any():
+        xhat = np.log(z[pos])
+        w = xhat + 0.049 * (_sin(10.0 * xhat) + _sin(7.9 * xhat))
+        out[pos] = np.exp(w * (1.0 + slope[pos] * np.exp(0.5 * w)))
+    if neg.any():
+        xhat = np.log(-z[neg])
+        out[neg] = -np.exp(xhat + 0.049 * (_sin(5.5 * xhat) + _sin(3.1 * xhat)))
+    return out
+
+
+def _rotate_alone(rotation, v):
+    """Row 0 of the kernel's product: v as the first of G rows, the rest zero."""
+    rows = np.zeros((G, v.size))
+    rows[0] = v
+    return (rotation @ rows.T)[:, 0]
+
+
+def _mapped_blocks(inst, x, scalar_maps):
+    """(block, z) for every block, each shifted, rotated and mapped alone."""
+    y = x - inst.shift if inst.shift is not None else x
+    y = y[inst.permutation]
+    parts = list(inst.subcomponents) + ([inst.tail] if inst.tail is not None else [])
+    for p in parts:
+        v = y[p.start : p.stop]
+        if p.local_shift is not None:
+            v = v - p.local_shift
+        if p.rotation is not None:
+            v = _rotate_alone(p.rotation, v)
+        yield p, scalar_maps(inst, v)
+
+
+def _maps(inst, v):
+    if not inst.irregularity:
+        return v
+    return _oscillate_skew_masked(v, inst.asymmetry_beta * _gradient(v.size))
+
+
+def _reference_evaluate(inst, x):
+    """Block-by-block evaluation: every block shifted, rotated and mapped alone,
+    each base function a row sum, and for the elliptic base one weighted sum
+    of z*z over all blocks."""
+    alpha = inst.conditioning_alpha
+    if inst.base == "elliptic":
+        zs, ws = [], []
+        for p, v in _mapped_blocks(inst, x, _maps):
+            zs.append(v)
+            ws.append(p.weight * functions.elliptic_weights(p.size)
+                      * conditioning_weights(p.size, alpha) ** 2)
+        z = np.concatenate(zs)
+        return (z * z * np.concatenate(ws)).sum() - inst._offset
+    total = 0.0
+    for p, v in _mapped_blocks(inst, x, _maps):
+        if alpha != 1.0:
+            v = conditioning_weights(p.size, alpha) * v
+        total += p.weight * getattr(functions, p.base)(v)
+    return total - inst._offset
+
+
 def _oscillate_masked(z):
     out = np.zeros_like(z)
     pos = z > 0
@@ -38,40 +106,21 @@ def _oscillate_masked(z):
     return out
 
 
-def _skew_masked(z, beta):
-    out = z.copy()
-    pos = z > 0
-    if pos.any():
-        g = np.arange(z.size) / (z.size - 1) if z.size > 1 else np.zeros(z.size)
-        expo = 1.0 + beta * g[pos] * np.sqrt(z[pos])
-        out[pos] = z[pos] ** expo
-    return out
+def _maps_0_5_0(inst, v):
+    """Version 0.5.0's scalar maps: oscillate, then the power-form skew."""
+    if inst.irregularity:
+        v = _oscillate_masked(v)
+    if inst.asymmetry_beta:
+        pos = v > 0
+        v = v.copy()
+        v[pos] **= 1.0 + inst.asymmetry_beta * _gradient(v.size)[pos] * np.sqrt(v[pos])
+    return v
 
 
-def _rotate_alone(rotation, v):
-    """Row 0 of the kernel's product: v as the first of G rows, the rest zero."""
-    rows = np.zeros((G, v.size))
-    rows[0] = v
-    return (rotation @ rows.T)[:, 0]
-
-
-def _reference_evaluate(inst, x):
-    """Block-by-block evaluation: every block shifted, rotated and mapped alone,
-    and each base function a row sum."""
-    y = x - inst.shift if inst.shift is not None else x
-    y = y[inst.permutation]
-    parts = list(inst.subcomponents) + ([inst.tail] if inst.tail is not None else [])
+def _reference_evaluate_0_5_0(inst, x):
+    """Version 0.5.0's evaluation, block by block with every base a row sum."""
     total = 0.0
-    for p in parts:
-        v = y[p.start : p.stop]
-        if p.local_shift is not None:
-            v = v - p.local_shift
-        if p.rotation is not None:
-            v = _rotate_alone(p.rotation, v)
-        if inst.irregularity:
-            v = _oscillate_masked(v)
-        if inst.asymmetry_beta:
-            v = _skew_masked(v, inst.asymmetry_beta)
+    for p, v in _mapped_blocks(inst, x, _maps_0_5_0):
         if inst.conditioning_alpha != 1.0:
             v = conditioning_weights(p.size, inst.conditioning_alpha) * v
         total += p.weight * getattr(functions, p.base)(v)
@@ -81,16 +130,39 @@ def _reference_evaluate(inst, x):
 _EXACT_CASES = [(fid, dim) for dim in (50, 1000) for fid in FUNCTION_IDS]
 
 
-@pytest.mark.parametrize("fid,dim", _EXACT_CASES)
-def test_evaluate_equals_block_by_block_reference_exactly(fid, dim):
-    inst = make_instance(fid, dim, 7)
+def _reference_points(inst, dim, fid):
     rng = np.random.default_rng([dim, int(fid[1:])])
     opt = inst.optimum_preimage
     points = list(rng.uniform(*inst.bounds, size=(24, dim))) + [opt]
     # near the optimum z has small coordinates of both signs, and exact zeros
     points += [opt + rng.normal(size=dim) * 1e-3 for _ in range(4)]
-    for x in points:
+    return points
+
+
+@pytest.mark.parametrize("fid,dim", _EXACT_CASES)
+def test_evaluate_equals_block_by_block_reference_exactly(fid, dim):
+    inst = make_instance(fid, dim, 7)
+    for x in _reference_points(inst, dim, fid):
         assert inst.evaluate(x) == _reference_evaluate(inst, x)
+
+
+@pytest.mark.parametrize("fid,dim", _EXACT_CASES)
+def test_evaluate_stays_within_1e_12_of_version_0_5_0(fid, dim):
+    # 0.6.0 redefined the skew in log space and the elliptic value as one
+    # weighted sum. Every z fed to a base function stays within 1e-12 of 0.5.0's,
+    # and so does the value, except where the value magnifies the last bits of
+    # z: Ackley's cos(2*pi*z) at skewed coordinates in the tens of thousands,
+    # and the rounding residue (about 1e-24 for F12) at the optimum preimage.
+    inst = make_instance(fid, dim, 7)
+    opt = inst.optimum_preimage
+    for x in _reference_points(inst, dim, fid):
+        for (_, z), (_, z_0_5_0) in zip(_mapped_blocks(inst, x, _maps),
+                                        _mapped_blocks(inst, x, _maps_0_5_0)):
+            np.testing.assert_allclose(z, z_0_5_0, rtol=1e-12, atol=0.0)
+        if inst.base != "ackley" and not np.array_equal(x, opt):
+            np.testing.assert_allclose(inst.evaluate(x),
+                                       _reference_evaluate_0_5_0(inst, x),
+                                       rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
@@ -207,6 +279,13 @@ def test_descriptor_rejects_malformed_field(fid, path, corrupt, message):
     node[key] = corrupt(node[key])
     with pytest.raises(ValueError, match=message):
         from_descriptor(desc)
+
+
+def test_the_oscillation_and_skew_maps_come_together():
+    # the kernel runs both as one pass, keyed on the oscillation map
+    for fid in FUNCTION_IDS:
+        inst = make_instance(fid, DESK_DIM, 0)
+        assert inst.irregularity == (inst.asymmetry_beta != 0.0), fid
 
 
 def test_function_id_catalogue():

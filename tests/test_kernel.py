@@ -5,7 +5,7 @@ import pytest
 
 from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
 from lsgo_hybrid.benchmarks.instance import G
-from lsgo_hybrid.benchmarks.transforms import sin_inplace
+from lsgo_hybrid.benchmarks.transforms import oscillate_skew_inplace, sin_inplace
 
 _CASES = [(fid, dim) for dim in (50, 1000) for fid in FUNCTION_IDS]
 
@@ -120,6 +120,54 @@ def test_sine_bits_ignore_length_offset_stride_and_layout():
         buf = rows.copy()
         sin_inplace(buf[:, col])
         assert np.array_equal(buf[:, col], _sin_alone(rows[:, col])), col
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _map_arguments(n, seed):
+    # rotated coordinates over many scales and both signs, with exact zeros
+    # and +-1, and slopes as the kernel's beta * g_i
+    rng = np.random.default_rng(seed)
+    z = 10.0 ** rng.uniform(-12, 4, size=n) * rng.choice([-1.0, 1.0], size=n)
+    z[::5] = 0.0
+    z[1::7] = 1.0
+    z[2::11] = -1.0
+    return z, 0.2 * rng.random(n)
+
+
+def _map_alone(z, slope):
+    return np.array([oscillate_skew_inplace(np.array([v]), np.array([s]))[0]
+                     for v, s in zip(z, slope)])
+
+
+def test_fused_map_bits_ignore_length_offset_stride_and_layout():
+    # The fused oscillation-and-skew map runs over whole G-row buffers, so an
+    # element's bits must depend on its value and slope alone, or a lone
+    # evaluation would differ from its batch row.
+    z, slope = _map_arguments(70 + 8, 3)
+    alone = _map_alone(z, slope)
+    for offset in range(9):
+        for n in range(1, 71):
+            buf = z.copy()
+            span = slice(offset, offset + n)
+            oscillate_skew_inplace(buf[span], slope[span])
+            assert np.array_equal(_bits(buf[span]), _bits(alone[span])), (offset, n)
+    wide, wide_slope = _map_arguments(7 * 70, 4)
+    for stride in (2, 3, 7):
+        buf = wide.copy()
+        oscillate_skew_inplace(buf[::stride], wide_slope[::stride])
+        expected = _map_alone(wide[::stride], wide_slope[::stride])
+        assert np.array_equal(_bits(buf[::stride]), _bits(expected)), stride
+    flat, _ = _map_arguments(G * 37, 5)
+    rows = flat.reshape(G, 37)
+    row_slope = _map_arguments(37, 6)[1]
+    expected = np.array([_map_alone(row, row_slope) for row in rows])
+    for cols in (slice(0, 1), slice(5, 6), slice(36, 37), slice(5, 30), slice(0, 37)):
+        buf = rows.copy()
+        oscillate_skew_inplace(buf[:, cols], row_slope[cols])
+        assert np.array_equal(_bits(buf[:, cols]), _bits(expected[:, cols])), cols
 
 
 def test_eval_count_counts_rows():

@@ -7,7 +7,7 @@ from lsgo_hybrid.benchmarks import (
     random_orthogonal,
     skew,
 )
-from lsgo_hybrid.benchmarks.transforms import sin_inplace
+from lsgo_hybrid.benchmarks.transforms import oscillate_skew_inplace, sin_inplace
 
 
 def test_oscillate_fixed_points():
@@ -54,6 +54,40 @@ def test_oscillate_preserves_sign_and_monotone_on_positives():
     assert np.all(np.sign(out) == np.sign(z))
     pos = np.sort(np.abs(z[z != 0]))
     assert np.all(np.diff(oscillate(pos)) > 0)
+
+
+def _skew_0_5_0(y, slope):
+    """Version 0.5.0's skew: y^(1 + slope*sqrt(y)) on positives, as a power."""
+    out = y.copy()
+    pos = y > 0
+    slope = np.broadcast_to(slope, y.shape)
+    out[pos] = y[pos] ** (1.0 + slope[pos] * np.sqrt(y[pos]))
+    return out
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.1, 0.2])
+def test_oscillate_skew_is_within_1e_13_of_the_power_composition(beta):
+    # the kernel's slopes are beta*g_i with beta 0.2 and g_i in [0, 1]
+    rng = np.random.default_rng(12)
+    z = rng.uniform(-1e4, 1e4, size=(40, 1000))
+    z[::2] *= 10.0 ** rng.uniform(-12, -3, size=(20, 1000))  # small |z| too
+    slope = beta * rng.random(1000)
+    ref = _skew_0_5_0(oscillate(z), slope)
+    got = oscillate_skew_inplace(z.copy(), slope)
+    assert np.array_equal(np.sign(got), np.sign(z))
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_oscillate_skew_fixes_zero_plus_minus_one_and_the_rosenbrock_ones():
+    slope = np.array([0.0, 0.2, 0.1, 0.2, 0.05])
+    z = np.array([0.0, 0.0, 1.0, -1.0, -0.0])
+    assert np.array_equal(oscillate_skew_inplace(z, slope), [0.0, 0.0, 1.0, -1.0, 0.0])
+    # the conforming Rosenbrock chain's optimum is z = 1 at every index of
+    # every block, with the slopes of the whole layout
+    ones = np.ones((3, 91))
+    slope = 0.2 * np.arange(91) / 90
+    assert np.array_equal(oscillate_skew_inplace(ones.copy(), slope), ones)
+    assert np.array_equal(oscillate_skew_inplace(np.ones(7), 0.0), np.ones(7))
 
 
 def test_skew_fixed_points_and_negative_passthrough():
