@@ -15,7 +15,7 @@ preimage of its optimum, and evaluating there gives a value <= 1e-6.
 Evaluation has one x -> z path, and it evaluates rows in groups of G.
 `_prepare` lays every block's coordinates end to end in one buffer
 (subcomponents first, then the tail; shared coordinates of the overlapping
-chains appear once per block) and precomputes the gather index, shifts,
+chains appear once per block) and precomputes the gather index, shift,
 skew slopes and conditioning weights in that layout. One group of at most G
 rows is gathered and shifted into a C-ordered buffer of one row per
 candidate; each rotated block is rotated as R @ Y.T, where Y is that
@@ -212,8 +212,6 @@ class Subcomponent:
 
     start: int
     size: int
-    base: str
-    rotated: bool
     weight: float
     rotation: np.ndarray | None = None
     local_shift: np.ndarray | None = None
@@ -265,13 +263,12 @@ class BenchmarkInstance:
         ends = np.cumsum([p.size for p in parts]).tolist()
         spans = list(zip([0] + ends[:-1], ends))
         self._gather = np.concatenate([self.permutation[p.start : p.stop] for p in parts])
-        self._shift = None if self.shift is None else self.shift[self._gather]
-        self._local_shift = None
-        if any(p.local_shift is not None for p in parts):
-            self._local_shift = np.concatenate([
-                p.local_shift if p.local_shift is not None else np.zeros(p.size)
-                for p in parts
-            ])
+        # the conflicting chain shifts each block, every other family the
+        # whole vector (from_descriptor holds descriptors to the same rule)
+        if self.shift is None:
+            self._shift = np.concatenate([p.local_shift for p in parts])
+        else:
+            self._shift = self.shift[self._gather]
         self._rotations = None
         if any(p.rotation is not None for p in parts):
             self._rotations = [(a, b, p.rotation) for (a, b), p in zip(spans, parts)]
@@ -298,8 +295,8 @@ class BenchmarkInstance:
             if alpha != 1.0:
                 self._cond = np.concatenate(
                     [conditioning_weights(p.size, alpha) for p in parts])
-            self._terms = [(a, b, p.weight, _DISPATCH[p.base])
-                           for (a, b), p in zip(spans, parts)]
+            fn = _DISPATCH[self.base]
+            self._terms = [(a, b, p.weight, fn) for (a, b), p in zip(spans, parts)]
 
     def _solve_optimum(self, solution=None) -> np.ndarray:
         """Optimum preimage; `solution` is the conflicting chain's
@@ -340,10 +337,7 @@ class BenchmarkInstance:
             padded = np.zeros((G, self._gather.size))
             z = padded[:m]
             np.take(x, self._gather, axis=1, out=z)
-        if self._shift is not None:
-            z -= self._shift
-        if self._local_shift is not None:
-            z -= self._local_shift
+        z -= self._shift
         if self._rotations is not None:
             for a, b, rotation in self._rotations:
                 if rotation is not None:
@@ -407,7 +401,7 @@ class BenchmarkInstance:
             subs.append({
                 "start": s.start,
                 "size": s.size,
-                "rotated": s.rotated,
+                "rotated": s.rotation is not None,
                 "weight": s.weight,
                 "shift": _encode(s.local_shift) if s.local_shift is not None else None,
             })
@@ -454,6 +448,13 @@ def _decode(s: str, dtype, field: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype).copy()
 
 
+def _decode_shift(s: str, field: str) -> np.ndarray:
+    shift = _decode(s, np.float64, field)
+    if not np.isfinite(shift).all():
+        raise ValueError(f"descriptor {field} has non-finite values")
+    return shift
+
+
 def _flag(value, field: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"descriptor {field} must be true or false, got {value!r}")
@@ -475,8 +476,7 @@ def _streams(function_id: str, dimension: int, seed: int):
 def _rotations_for(subs, rot_ss):
     rng = np.random.default_rng(rot_ss)
     for sub in subs:
-        if sub.rotated:
-            sub.rotation = random_orthogonal(sub.size, rng)
+        sub.rotation = random_orthogonal(sub.size, rng)
 
 
 def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInstance:
@@ -518,10 +518,11 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
         weights = np.ones(1)
 
     subs = [
-        Subcomponent(start, size, fspec.base, fspec.rotated, float(w), None, ls)
+        Subcomponent(start, size, float(w), None, ls)
         for (start, size), w, ls in zip(sub_layout, weights, local_shifts)
     ]
-    _rotations_for(subs, rot_ss)
+    if fspec.rotated:
+        _rotations_for(subs, rot_ss)
     solution = None
     if conflicting:
         # conflicting targets can push the compromise point outside the box;
@@ -540,14 +541,23 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
             solution = None
     tail = None
     if tail_layout is not None:
-        tail = Subcomponent(tail_layout[0], tail_layout[1], fspec.base, False, 1.0)
+        tail = Subcomponent(tail_layout[0], tail_layout[1], 1.0)
 
     return BenchmarkInstance(function_id, dimension, seed, shift, perm, subs, tail,
                              solution)
 
 
 def _check_layout(family, dimension, shift, subs, tail):
-    """Reject a descriptor whose shifts or blocks do not fit its dimension."""
+    """Reject a descriptor whose shifts or blocks do not fit its dimension, or
+    whose shifts are not where generation puts them: on every block of the
+    conflicting chain, and as one global shift for every other family."""
+    conflicting = family == "overlap_conflicting"
+    if conflicting and shift is not None:
+        raise ValueError("descriptor shift must be null for a conflicting chain, "
+                         "whose blocks carry their own shifts")
+    if not conflicting and shift is None:
+        raise ValueError(f"descriptor shift is null, but the {family} family "
+                         "takes one global shift")
     if shift is not None and shift.size != dimension:
         raise ValueError(
             f"descriptor shift has {shift.size} values, dimension is {dimension}"
@@ -559,10 +569,15 @@ def _check_layout(family, dimension, shift, subs, tail):
             raise ValueError(
                 f"descriptor block [{p.start}, {p.stop}) leaves [0, {dimension})"
             )
-        if p.local_shift is None and family == "overlap_conflicting":
+        if p.local_shift is None and conflicting:
             raise ValueError(
                 f"descriptor block [{p.start}, {p.stop}) of a conflicting chain "
                 "has no local shift"
+            )
+        if p.local_shift is not None and not conflicting:
+            raise ValueError(
+                f"descriptor block [{p.start}, {p.stop}) has a local shift, but "
+                f"the {family} family takes only the global shift"
             )
         if p.local_shift is not None and p.local_shift.size != p.size:
             raise ValueError(
@@ -591,7 +606,9 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
     Shift, permutation, layout and weights come from the descriptor itself;
     rotations are regenerated from the recorded seed. The recorded bounds,
     base, family, scalar-map constants and rotation flags must equal the
-    function table's.
+    function table's, shifts must be finite and sit where generation puts
+    them (see `_check_layout`), and block weights must be finite and
+    positive.
     """
     if desc.get("format") != _DESCRIPTOR_FORMAT:
         raise ValueError(f"unrecognised descriptor format {desc.get('format')!r}")
@@ -610,32 +627,31 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
     perm = _decode(desc["permutation"], np.int64, "permutation").astype(np.intp)
     if sorted(perm.tolist()) != list(range(dimension)):
         raise ValueError("descriptor permutation is not a bijection")
-    shift = (_decode(desc["shift"], np.float64, "shift")
+    shift = (_decode_shift(desc["shift"], "shift")
              if desc["shift"] is not None else None)
     subs = []
     for k, entry in enumerate(desc["subcomponents"]):
         local = (
-            _decode(entry["shift"], np.float64, f"subcomponent {k} shift")
+            _decode_shift(entry["shift"], f"subcomponent {k} shift")
             if entry.get("shift") is not None
             else None
         )
         field = f"subcomponent {k} rotated"
         _expect(field, _flag(entry["rotated"], field), fspec.rotated, function_id)
+        weight = float(entry["weight"])
+        if not 0.0 < weight < np.inf:
+            raise ValueError(f"descriptor subcomponent {k} weight must be finite "
+                             f"and positive, got {weight}")
         subs.append(
-            Subcomponent(
-                int(entry["start"]), int(entry["size"]), fspec.base,
-                fspec.rotated, float(entry["weight"]), None, local,
-            )
+            Subcomponent(int(entry["start"]), int(entry["size"]), weight, None, local)
         )
     tail = None
     if desc.get("tail") is not None:
-        tail = Subcomponent(
-            int(desc["tail"]["start"]), int(desc["tail"]["size"]),
-            fspec.base, False, 1.0,
-        )
+        tail = Subcomponent(int(desc["tail"]["start"]), int(desc["tail"]["size"]), 1.0)
     _check_layout(fspec.family, dimension, shift, subs, tail)
-    _, rot_ss = _streams(function_id, dimension, int(desc["seed"]))
-    _rotations_for(subs, rot_ss)
+    if fspec.rotated:
+        _, rot_ss = _streams(function_id, dimension, int(desc["seed"]))
+        _rotations_for(subs, rot_ss)
     return BenchmarkInstance(function_id, dimension, int(desc["seed"]), shift, perm,
                              subs, tail)
 

@@ -139,6 +139,9 @@ def _exact(x: float) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.parallel < 0:
+        raise ValueError("--parallel must be 0 (all CPUs) or a worker count, "
+                         f"got {args.parallel}")
     functions = parse_function_list(args.functions)
     out = _out_dir(args)
     checkpoints = tuple(int(c) for c in args.checkpoints.split(","))

@@ -1,9 +1,8 @@
 """Differential evolution phase with pool-style worst replacement.
 
-Classic rand/1/bin candidate construction (best/1/bin optional), but
-selection follows the shared-pool rule: a candidate replaces the pool's
-current worst member on strict improvement instead of competing with its
-own parent.
+Classic rand/1/bin candidate construction, but selection follows the
+shared-pool rule: a candidate replaces the pool's current worst member on
+strict improvement instead of competing with its own parent.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 from . import population
 from .population import Population
 
-_STRATEGIES = ("rand1bin", "best1bin")
 # crossover redraws the bound repair stands for (see _crossover_masks)
 _BOUND_RETRIES = 10
 
@@ -29,7 +27,6 @@ class DeParams:
     max_iterations: int = 100
     cr: float = 0.9
     f: float = 0.5
-    strategy: str = "rand1bin"
 
     def validate(self):
         if self.max_iterations < 0:
@@ -38,8 +35,6 @@ class DeParams:
             v = getattr(self, name)
             if not lo <= v <= hi:
                 raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {v}")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
 
 
 def _distinct_indices(u: np.ndarray, pool_size: int) -> np.ndarray:
@@ -95,7 +90,7 @@ def _trials(pop: Population, picks: np.ndarray, keep: np.ndarray, test: np.ndarr
     x, a, b, c = picks.T
     mutant = pop.x[b] - pop.x[c]
     mutant *= params.f
-    mutant += pop.x[pop.best_index] if params.strategy == "best1bin" else pop.x[a]
+    mutant += pop.x[a]
     lo, hi = bounds
     v = np.maximum(mutant, lo)
     np.minimum(v, hi, out=v)
@@ -142,8 +137,6 @@ def de_run(pop: Population, params: DeParams, objective, rng,
     trials are then built from the pool as it is, evaluated and offered in
     the rank-safe batches of `Population.offer_batches` (a trial reads rows
     x, a, b and c), which give exactly the one-trial-at-a-time result.
-    best1bin also reads the best row, which any accepted offer can replace,
-    so its trials go one at a time.
     """
     params.validate()
     budget = params.max_iterations * len(pop)
@@ -152,7 +145,6 @@ def de_run(pop: Population, params: DeParams, objective, rng,
     if bounds is None:
         bounds = objective.bounds
     evaluate = population.batch_evaluator(objective)
-    cap = 1 if params.strategy == "best1bin" else population.BATCH
     spent = 0
     while spent < budget:
         n = min(population.CHUNK, budget - spent)
@@ -160,7 +152,7 @@ def de_run(pop: Population, params: DeParams, objective, rng,
         picks = _distinct_indices(u[:, :4], len(pop))
         keep, test = _crossover_masks(u[:, 4:], params.cr)
         pop.offer_batches(
-            picks.tolist(), cap,
+            picks.tolist(),
             lambda i, j: _trials(pop, picks[i:j], keep[i:j], test[i:j], params, bounds),
             evaluate)
         spent += n

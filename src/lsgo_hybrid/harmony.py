@@ -133,7 +133,7 @@ def harmony_run(memory: Population, params: HarmonyParams, objective, rng,
                                      params.par, params.bandwidth_fraction, bounds,
                                      len(memory))
         memory.offer_batches(
-            [(p,) if p >= 0 else () for p in picks.tolist()], population.BATCH,
+            [(p,) if p >= 0 else () for p in picks.tolist()],
             lambda i, j: _harmony_candidates(memory, picks[i:j], rows[i:j], bounds),
             evaluate)
         it += n

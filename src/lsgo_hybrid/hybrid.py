@@ -185,12 +185,11 @@ def _batch_worker(args) -> RunResult:
     return run(instance.fresh_copy(), config, run_index)
 
 
-def run_batch(instance_spec, config: HybridConfig, n_runs: int,
-              base_seed: int | None = None, workers: int = 1):
+def run_batch(instance_spec, config: HybridConfig, n_runs: int, workers: int = 1):
     """Independent runs on one instance; returns (results, summary).
 
     `instance_spec` is (function_id, dimension, instance_seed) or an
-    already-built instance. Run i draws its stream from (master seed, i),
+    already-built instance. Run i draws its stream from (config.seed, i),
     so the batch is deterministic for any worker count.
     """
     if n_runs < 1:
@@ -200,8 +199,7 @@ def run_batch(instance_spec, config: HybridConfig, n_runs: int,
     else:
         fid, dim, iseed = instance_spec
         proto = make_instance(fid, dim, iseed)
-    cfg = config if base_seed is None else replace(config, seed=base_seed)
-    tasks = [(proto, cfg, i) for i in range(n_runs)]
+    tasks = [(proto, config, i) for i in range(n_runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_worker, tasks))

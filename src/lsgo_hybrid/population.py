@@ -99,7 +99,7 @@ class Population:
             return True
         return False
 
-    def offer_batches(self, reads, cap: int, build, evaluate) -> None:
+    def offer_batches(self, reads, build, evaluate) -> None:
         """Offer candidates 0..n-1 in order, evaluating them in batches.
 
         Candidate i reads the pool rows `reads[i]` (a sequence of row
@@ -107,7 +107,7 @@ class Population:
         candidates start..stop-1 as the rows of a new array, built from the
         pool rows as they are, and `evaluate` maps such an array to values.
 
-        Each batch holds at most `cap` candidates. At its start the rows are
+        Each batch holds at most `BATCH` candidates. At its start the rows are
         ranked by (fitness descending, index ascending), the order in which
         `replace_worst` finds the worst, and candidate k of the batch
         (0-based) joins only if every row it reads has rank >= k. This gives
@@ -131,7 +131,7 @@ class Population:
             rank[np.argsort(-self.fitness, kind="stable")] = np.arange(len(self))
             rank = rank.tolist()
             stop = start + 1
-            end = min(n, start + cap)
+            end = min(n, start + BATCH)
             while stop < end and all(rank[r] >= stop - start for r in reads[stop]):
                 stop += 1
             x = build(start, stop)

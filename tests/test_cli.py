@@ -120,6 +120,15 @@ def test_run_custom_checkpoints_and_validation(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_a_negative_parallel_before_writing(tmp_path, capsys):
+    out = tmp_path / "neg"
+    args = TINY_RUN + ["--functions", "F1", "--out", str(out)]
+    args[args.index("--parallel") + 1] = "-3"
+    assert main(args) == 1
+    assert "error: --parallel" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+
+
 def test_cli_defaults_are_the_config_defaults():
     parser = build_parser()
     tune = parser.parse_args(["tune", "--function", "F1"])

@@ -30,9 +30,6 @@ def test_params_validation():
         DeParams(f=-0.1).validate()
     with pytest.raises(ValueError):
         DeParams(max_iterations=-1).validate()
-    with pytest.raises(ValueError):
-        DeParams(strategy="currenttobest").validate()
-    DeParams(strategy="best1bin").validate()
 
 
 def test_select_indices_distinctness():
@@ -113,15 +110,6 @@ def test_deterministic_under_seed():
     assert outcomes[0] == outcomes[1]
 
 
-def test_best_strategy_also_converges():
-    pool = _pool(size=16, dim=6, seed=15)
-    rng = np.random.default_rng(16)
-    start = pool.best_fitness
-    de_run(pool, DeParams(max_iterations=300, strategy="best1bin"), sphere, rng,
-           bounds=(-10.0, 10.0))
-    assert pool.best_fitness < start * 0.5
-
-
 def _all_out_pool(dim):
     # target 0, donors 0.9 / 0.9 / -0.9: with f=1 every mutant value is 2.7
     x = np.zeros((4, dim))
@@ -200,13 +188,12 @@ def test_draw_layout_is_pinned():
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 256])
-@pytest.mark.parametrize("strategy", ["rand1bin", "best1bin"])
-def test_de_run_is_a_loop_of_the_public_steps(monkeypatch, chunk, strategy):
+def test_de_run_is_a_loop_of_the_public_steps(monkeypatch, chunk):
     # the chunked sweep draws and decides exactly what one trial at a time
     # does, whether the 40 trials take many chunks or one (chunk 256)
     monkeypatch.setattr(population, "CHUNK", chunk)
     bounds = (-2.0, 2.0)  # small enough that mutants leave the box
-    params = DeParams(max_iterations=5, cr=0.7, f=1.2, strategy=strategy)
+    params = DeParams(max_iterations=5, cr=0.7, f=1.2)
     chunked = _pool(size=9, dim=6, seed=30, bounds=bounds)
     stepped = _pool(size=9, dim=6, seed=30, bounds=bounds)
     rng_chunked, rng_stepped = np.random.default_rng(31), np.random.default_rng(31)
@@ -228,16 +215,14 @@ def test_de_run_is_a_loop_of_the_public_steps(monkeypatch, chunk, strategy):
 @pytest.mark.parametrize("cap", [1, 7, 16])
 @pytest.mark.parametrize("size", [9, 60])
 @pytest.mark.parametrize("terraced", [False, True], ids=["F8", "terraces"])
-@pytest.mark.parametrize("strategy", ["rand1bin", "best1bin"])
 def test_batched_de_run_is_a_loop_of_the_public_steps(monkeypatch, batch_recorder,
-                                                      terraces, cap, terraced, size,
-                                                      strategy):
+                                                      terraces, cap, terraced, size):
     # rank-safe batches build, evaluate and offer exactly what one trial at a
     # time does, with a batch-capable objective; on terraces fitness ties
     monkeypatch.setattr(population, "BATCH", cap)
     inst = terraces if terraced else make_instance("F8", 10, 3)
     objective = batch_recorder(inst)
-    params = DeParams(max_iterations=20, cr=0.7, f=1.2, strategy=strategy)
+    params = DeParams(max_iterations=20, cr=0.7, f=1.2)
     batched = _pool(size=size, dim=10, seed=32, objective=inst, bounds=inst.bounds)
     stepped = _pool(size=size, dim=10, seed=32, objective=inst, bounds=inst.bounds)
     start = batched.x.copy()
@@ -255,10 +240,7 @@ def test_batched_de_run_is_a_loop_of_the_public_steps(monkeypatch, batch_recorde
     assert rng_batched.bit_generator.state == rng_stepped.bit_generator.state
     assert not np.array_equal(batched.x, start)
     assert max(objective.sizes) <= cap
-    if strategy == "best1bin":
-        # any accepted offer can replace the best row a trial reads
-        assert set(objective.sizes) == {1}
-    elif cap > 1:
+    if cap > 1:
         assert max(objective.sizes) > 1
 
 

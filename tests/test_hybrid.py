@@ -147,13 +147,6 @@ def test_run_batch_accepts_prebuilt_instance():
     assert inst.eval_count == 0
 
 
-def test_run_batch_base_seed_overrides_config_seed():
-    config = _tiny(seed=5)
-    a, _ = run_batch(("F1", 10, 3), config, n_runs=1, base_seed=99)
-    b, _ = run_batch(("F1", 10, 3), _tiny(seed=99), n_runs=1)
-    assert a[0].final_best.fitness == b[0].final_best.fitness
-
-
 def test_summary_order_statistics():
     config = _tiny(seed=1)
     results, _ = run_batch(("F1", 10, 0), config, n_runs=3)

@@ -89,7 +89,7 @@ def _reference_evaluate(inst, x):
     for p, v in _mapped_blocks(inst, x, _maps):
         if alpha != 1.0:
             v = conditioning_weights(p.size, alpha) * v
-        total += p.weight * getattr(functions, p.base)(v)
+        total += p.weight * getattr(functions, inst.base)(v)
     return total - inst._offset
 
 
@@ -123,7 +123,7 @@ def _reference_evaluate_0_5_0(inst, x):
     for p, v in _mapped_blocks(inst, x, _maps_0_5_0):
         if inst.conditioning_alpha != 1.0:
             v = conditioning_weights(p.size, inst.conditioning_alpha) * v
-        total += p.weight * getattr(functions, p.base)(v)
+        total += p.weight * getattr(functions, inst.base)(v)
     return total - inst._offset
 
 
@@ -245,9 +245,36 @@ def test_descriptor_rejects_shift_length_mismatch():
         from_descriptor(desc)
 
 
+def test_descriptor_rejects_shifts_where_generation_puts_none():
+    # per-block shifts on F8 once passed, and its "optimum" then evaluated to 3.9e7
+    inst = make_instance("F8", DESK_DIM, 3)
+    desc = inst.to_descriptor()
+    for entry in desc["subcomponents"]:
+        entry["shift"] = _encode(np.ones(entry["size"]))
+    with pytest.raises(ValueError, match=r"\) has a local shift, but the partial family"):
+        from_descriptor(desc)
+    desc = inst.to_descriptor()
+    desc["shift"] = None
+    with pytest.raises(ValueError, match="shift is null, but the partial family takes"):
+        from_descriptor(desc)
+    desc = make_instance("F14", DESK_DIM, 3).to_descriptor()
+    desc["shift"] = _encode(np.zeros(DESK_DIM))
+    with pytest.raises(ValueError, match="shift must be null for a conflicting chain"):
+        from_descriptor(desc)
+
+
 def _truncate(text):
     # drop one 4-character base64 group: valid base64, 3 bytes short
     return text[:-8] + text[-4:]
+
+
+def _set_second(value):
+    # the encoded float64 array with its second value replaced
+    def corrupt(text):
+        a = np.frombuffer(base64.b64decode(text), dtype=np.float64).copy()
+        a[1] = value
+        return _encode(a)
+    return corrupt
 
 
 @pytest.mark.parametrize("fid, path, corrupt, message", [
@@ -267,9 +294,23 @@ def _truncate(text):
      "descriptor subcomponent 0 rotated is False, but F8 has True"),
     ("F1", ("bounds",), lambda _: [-5.0, 5.0],
      r"descriptor bounds is \[-5.0, 5.0\], but F1 has \[-100.0, 100.0\]"),
+    ("F8", ("shift",), _set_second(np.nan), "descriptor shift has non-finite values"),
+    ("F8", ("shift",), _set_second(-np.inf), "descriptor shift has non-finite values"),
+    ("F14", ("subcomponents", 1, "shift"), _set_second(np.nan),
+     "descriptor subcomponent 1 shift has non-finite values"),
+    ("F8", ("subcomponents", 2, "weight"), lambda _: -1.0,
+     "descriptor subcomponent 2 weight must be finite and positive, got -1.0"),
+    ("F8", ("subcomponents", 2, "weight"), lambda _: 0.0,
+     "subcomponent 2 weight must be finite and positive, got 0.0"),
+    ("F8", ("subcomponents", 2, "weight"), lambda _: float("nan"),
+     "subcomponent 2 weight must be finite and positive, got nan"),
+    ("F4", ("subcomponents", 0, "weight"), lambda _: float("inf"),
+     "subcomponent 0 weight must be finite and positive, got inf"),
 ], ids=["truncated-permutation", "truncated-shift", "truncated-local-shift",
         "string-irregularity", "string-rotated", "table-irregularity",
-        "table-conditioning-alpha", "table-rotated", "table-bounds"])
+        "table-conditioning-alpha", "table-rotated", "table-bounds",
+        "nan-shift", "infinite-shift", "nan-local-shift", "negative-weight",
+        "zero-weight", "nan-weight", "infinite-weight"])
 def test_descriptor_rejects_malformed_field(fid, path, corrupt, message):
     desc = make_instance(fid, DESK_DIM, 3).to_descriptor()
     *outer, key = path

@@ -1,0 +1,20 @@
+"""Every ```python block of README.md runs against the installed API."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                    flags=re.DOTALL | re.MULTILINE)
+
+
+def test_readme_has_python_examples():
+    assert len(BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
