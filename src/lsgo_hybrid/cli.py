@@ -1,7 +1,7 @@
 """Command-line harness: run experiments, rank results, tune, inspect.
 
 Subcommands:
-  run         seeded batches of hybrid runs, CSV results + summary
+  run         seeded batches of hybrid runs, audited CSV results + summary
   stats       ranking pipeline over a median matrix (file or bundled)
   tune        GA parameter tuning for one function, JSON output
   bench-info  write a benchmark instance descriptor
@@ -25,8 +25,8 @@ from pathlib import Path
 from . import __version__
 from .benchmarks import FUNCTION_IDS, make_instance
 from .hybrid import HybridConfig, fe_budget, final_stats, run_batch, scaled
-from .stats.fixture import FUNCTION_LABELS, reference_median_matrix
-from .stats.ranking import DEFAULT_GROUPS, MedianMatrix
+from .stats.fixture import read_results, reference_median_matrix
+from .stats.ranking import DEFAULT_GROUPS
 from .stats.report import (
     format_text,
     full_report,
@@ -218,9 +218,8 @@ def cmd_run(args) -> int:
                              _sci(s.mean), _sci(s.stddev), config_hash])
 
     print(f"wrote {runs_path} and {summary_path}")
-    if args.audit:
-        audit_results(runs_path, summary_path)
-        print("audit: ok")
+    audit_results(runs_path, summary_path)
+    print("audit: ok")
     return 0
 
 
@@ -262,61 +261,17 @@ def audit_results(runs_path: Path, summary_path: Path):
                 )
 
 
-def load_median_csv(path: str) -> MedianMatrix:
-    """Median matrix from CSV.
-
-    Accepted headers: `algorithm,F1,...` (values are medians) or
-    `algorithm,metric,F1,...` (rows filtered to metric == median).
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if not rows:
-        raise ValueError(f"{path}: empty input")
-    header = rows[0]
-    if not header or header[0] != "algorithm":
-        raise ValueError(f"{path}: row 1: first column must be 'algorithm'")
-    has_metric = len(header) > 1 and header[1] == "metric"
-    first_fn = 2 if has_metric else 1
-    functions = header[first_fn:]
-    if not functions:
-        raise ValueError(f"{path}: row 1: no function columns")
-
-    algorithms: list[str] = []
-    values: list[list[float]] = []
-    for i, row in enumerate(rows[1:], start=2):
-        if has_metric and row[1].strip().lower() != "median":
-            continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {i}: expected {len(header)} fields, got {len(row)}"
-            )
-        name = row[0]
-        if name in algorithms:
-            raise ValueError(f"{path}: row {i}: duplicate algorithm {name!r}")
-        parsed = []
-        for j, cell in enumerate(row[first_fn:]):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {i}, column {functions[j]}: "
-                    f"not a number: {cell!r}"
-                ) from None
-        algorithms.append(name)
-        values.append(parsed)
-    if not algorithms:
-        raise ValueError(f"{path}: no median rows found")
-    return MedianMatrix(algorithms, list(functions), values)
-
-
 def cmd_stats(args) -> int:
+    if args.fixture and args.input:
+        raise ValueError("give --fixture paper or --input FILE, not both")
     if args.fixture:
-        if args.fixture != "paper":
-            raise ValueError(f"unknown fixture {args.fixture!r}; only 'paper'")
         matrix = reference_median_matrix()
     elif args.input:
-        matrix = load_median_csv(args.input)
+        with open(args.input, newline="", encoding="utf-8") as fh:
+            tables = read_results(fh.read(), args.input)
+        if "median" not in tables:
+            raise ValueError(f"{args.input}: no median rows found")
+        matrix = tables["median"]
     else:
         raise ValueError("provide --input FILE or --fixture paper")
 
@@ -331,12 +286,9 @@ def cmd_stats(args) -> int:
     out = _out_dir(args)
     write_json(report, out / "report.json")
     write_text(report, out / "report.txt")
-    if args.mode in ("all", "ranks"):
-        write_rank_csv(report, out / "ranks.csv")
-    if args.mode in ("all", "tests"):
-        write_tests_csv(report, out / "tests.csv")
-    if args.mode in ("all", "f1"):
-        write_scores_csv(report, out / "scores.csv")
+    write_rank_csv(report, out / "ranks.csv")
+    write_tests_csv(report, out / "tests.csv")
+    write_scores_csv(report, out / "scores.csv")
     sys.stdout.write(format_text(report))
     print(f"wrote report files to {out}")
     return 0
@@ -414,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="outer-cycle indices to record, comma separated")
     p_run.add_argument("--parallel", type=int, default=0,
                        help="worker processes (default: all CPUs this process may use)")
-    p_run.add_argument("--audit", action="store_true",
-                       help="re-derive the summary from the run rows")
     p_run.add_argument("--out")
     p_run.set_defaults(handler=cmd_run)
 
@@ -423,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--input", help="median matrix CSV")
     p_stats.add_argument("--fixture", choices=["paper"],
                          help="use the bundled published-results table")
-    p_stats.add_argument("--mode", choices=["all", "ranks", "tests", "f1"],
-                         default="all")
     p_stats.add_argument("--out")
     p_stats.set_defaults(handler=cmd_stats)
 

@@ -18,36 +18,31 @@ from .population import Population
 
 # range of the pitch-adjustment rate; the tuner searches inside it
 PAR_RANGE = (0.0, 1.0)
+# the memory-consideration rate rises from HMCR_LO to HMCR_HI over a phase
+HMCR_LO, HMCR_HI = 0.7, 0.9
+# pitch-adjustment noise bound as a fraction of the box width
+BANDWIDTH_FRACTION = 0.01
 
 
 @dataclass
 class HarmonyParams:
     max_iterations: int = 10_000
-    hmcr_lo: float = 0.7
-    hmcr_hi: float = 0.9
     par: float = 0.4
-    bandwidth_fraction: float = 0.01
 
     def validate(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        for name, (lo, hi) in (("hmcr_lo", (0.0, 1.0)), ("hmcr_hi", (0.0, 1.0)),
-                               ("par", PAR_RANGE)):
-            v = getattr(self, name)
-            if not lo <= v <= hi:
-                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {v}")
-        if self.hmcr_hi < self.hmcr_lo:
-            raise ValueError("hmcr_hi must be >= hmcr_lo")
-        if self.bandwidth_fraction < 0:
-            raise ValueError("bandwidth_fraction must be non-negative")
+        lo, hi = PAR_RANGE
+        if not lo <= self.par <= hi:
+            raise ValueError(f"par must lie in [{lo:g}, {hi:g}], got {self.par}")
 
 
-def hmcr_schedule(iteration, max_iterations: int, lo: float, hi: float):
+def hmcr_schedule(iteration, max_iterations: int):
     """Memory-consideration rate at `iteration` (1-based, int or int array),
-    rising lo -> hi."""
+    rising HMCR_LO -> HMCR_HI."""
     if max_iterations < 2:
-        return lo
-    return lo + (hi - lo) * (iteration - 1) / (max_iterations - 1)
+        return HMCR_LO
+    return HMCR_LO + (HMCR_HI - HMCR_LO) * (iteration - 1) / (max_iterations - 1)
 
 
 def _harmony_draws(u: np.ndarray, hmcr, par: float, bandwidth_fraction: float,
@@ -127,11 +122,9 @@ def harmony_run(memory: Population, params: HarmonyParams, objective, rng,
     it = first
     while it <= last:
         n = min(population.CHUNK, last - it + 1)
-        hmcr = hmcr_schedule(np.arange(it, it + n), params.max_iterations,
-                             params.hmcr_lo, params.hmcr_hi)
+        hmcr = hmcr_schedule(np.arange(it, it + n), params.max_iterations)
         picks, rows = _harmony_draws(rng.random((n, 2 + memory.dimension)), hmcr,
-                                     params.par, params.bandwidth_fraction, bounds,
-                                     len(memory))
+                                     params.par, BANDWIDTH_FRACTION, bounds, len(memory))
         memory.offer_batches(
             [(p,) if p >= 0 else () for p in picks.tolist()],
             lambda i, j: _harmony_candidates(memory, picks[i:j], rows[i:j], bounds),

@@ -67,6 +67,9 @@ def scaled(config: HybridConfig, budget_scale: float) -> HybridConfig:
         raise ValueError(f"budget_scale must be positive and finite, got {budget_scale!r}")
 
     def scale(n: int) -> int:
+        if n > 0 and not math.isfinite(n * budget_scale):
+            raise ValueError(f"budget_scale {budget_scale!r} overflows "
+                             f"the iteration count {n}")
         return max(1, round(n * budget_scale)) if n > 0 else 0
 
     return replace(

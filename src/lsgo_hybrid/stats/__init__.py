@@ -3,6 +3,7 @@
 from .fixture import (
     FUNCTION_LABELS,
     METRICS,
+    read_results,
     reference_algorithms,
     reference_median_matrix,
     reference_values,
@@ -32,6 +33,7 @@ from .special import beta_inc, chi2_sf, f_sf, gamma_q
 __all__ = [
     "FUNCTION_LABELS",
     "METRICS",
+    "read_results",
     "reference_algorithms",
     "reference_median_matrix",
     "reference_values",

@@ -3,6 +3,7 @@
 The package ships a frozen CSV of published final-value statistics for
 eleven optimizers on the fifteen benchmark functions at D=1000.  A sha256
 sidecar guards against silent edits; loaders verify it before parsing.
+`read_results` parses this table and the CSV tables `stats --input` reads.
 """
 
 from __future__ import annotations
@@ -10,10 +11,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 from functools import lru_cache
 from importlib import resources
-
-import numpy as np
 
 from .ranking import MedianMatrix
 
@@ -25,12 +25,61 @@ _CSV_NAME = "reference_results.csv"
 _HASH_NAME = "reference_results.sha256"
 
 
+def read_results(text: str, source: str) -> dict[str, MedianMatrix]:
+    """Results table from CSV text, one matrix per metric.
+
+    A header `algorithm,F1,...` makes every row a median; a header
+    `algorithm,metric,F1,...` names each row's metric. Every error is a
+    ValueError naming `source`, the row and the column.
+    """
+    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    if not rows:
+        raise ValueError(f"{source}: empty input")
+    header = rows[0]
+    if header[0] != "algorithm":
+        raise ValueError(f"{source}: row 1, column 1: first column must be 'algorithm'")
+    first = 2 if header[1:2] == ["metric"] else 1
+    functions = header[first:]
+    if not functions:
+        raise ValueError(f"{source}: row 1: no function columns")
+    for j, name in enumerate(functions):
+        if name in functions[:j]:
+            raise ValueError(f"{source}: row 1, column {first + j + 1}: "
+                             f"repeated function column {name!r}")
+
+    tables: dict[str, tuple[list[str], list[list[float]]]] = {}
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            column = header[len(row)] if len(row) < len(header) else len(header) + 1
+            raise ValueError(f"{source}: row {i}, column {column}: "
+                             f"expected {len(header)} fields, got {len(row)}")
+        metric = row[1].strip().lower() if first == 2 else "median"
+        algorithms, values = tables.setdefault(metric, ([], []))
+        if row[0] in algorithms:
+            raise ValueError(f"{source}: row {i}, column algorithm: "
+                             f"duplicate algorithm {row[0]!r} in the {metric} rows")
+        parsed = []
+        for name, cell in zip(functions, row[first:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{source}: row {i}, column {name}: "
+                                 f"not a finite number: {cell!r}")
+            parsed.append(value)
+        algorithms.append(row[0])
+        values.append(parsed)
+    return {metric: MedianMatrix(algorithms, list(functions), values)
+            for metric, (algorithms, values) in tables.items()}
+
+
 def _read_bundled(name: str) -> bytes:
     return resources.files(_DATA_PACKAGE).joinpath(name).read_bytes()
 
 
 @lru_cache(maxsize=1)
-def _load() -> tuple[tuple[str, ...], dict[tuple[str, str], np.ndarray]]:
+def _load() -> dict[str, MedianMatrix]:
     raw = _read_bundled(_CSV_NAME)
     expected = _read_bundled(_HASH_NAME).decode("ascii").strip()
     actual = hashlib.sha256(raw).hexdigest()
@@ -39,45 +88,26 @@ def _load() -> tuple[tuple[str, ...], dict[tuple[str, str], np.ndarray]]:
             f"bundled results table is corrupt: sha256 {actual} != {expected}"
         )
 
-    rows = list(csv.reader(io.StringIO(raw.decode("ascii"))))
-    header = rows[0]
-    if header[:2] != ["algorithm", "metric"] or tuple(header[2:]) != FUNCTION_LABELS:
-        raise RuntimeError("bundled results table has an unexpected header")
-
-    table: dict[tuple[str, str], np.ndarray] = {}
-    order: list[str] = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        name, metric = row[0], row[1]
-        if metric not in METRICS:
-            raise RuntimeError(f"unknown metric {metric!r} in bundled table")
-        if name not in order:
-            order.append(name)
-        key = (name, metric)
-        if key in table:
-            raise RuntimeError(f"duplicate row {key} in bundled table")
-        table[key] = np.array([float(v) for v in row[2:]], dtype=float)
-
-    for name in order:
-        for metric in METRICS:
-            if (name, metric) not in table:
-                raise RuntimeError(f"bundled table is missing {(name, metric)}")
-    return tuple(order), table
+    tables = read_results(raw.decode("ascii"), _CSV_NAME)
+    if (sorted(tables) != sorted(METRICS)
+            or tables["median"].functions != list(FUNCTION_LABELS)
+            or any(m.algorithms != tables["median"].algorithms for m in tables.values())):
+        raise RuntimeError(f"bundled results table must hold the metrics {METRICS} "
+                           "of the same algorithms, in the same order, on F1..F15")
+    return tables
 
 
 def reference_algorithms() -> tuple[str, ...]:
     """Algorithm names in the bundled table, file order."""
-    return _load()[0]
+    return tuple(_load()["median"].algorithms)
 
 
 def reference_values(metric: str) -> MedianMatrix:
     """One metric as a rows=algorithms, columns=functions matrix."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    order, table = _load()
-    values = np.vstack([table[(name, metric)] for name in order])
-    return MedianMatrix(list(order), list(FUNCTION_LABELS), values)
+    matrix = _load()[metric]
+    return MedianMatrix(list(matrix.algorithms), list(matrix.functions), matrix.values.copy())
 
 
 def reference_median_matrix() -> MedianMatrix:

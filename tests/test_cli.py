@@ -44,10 +44,11 @@ def _read(path):
         return list(csv.reader(fh))
 
 
-def test_run_writes_expected_files(tmp_path):
+def test_run_writes_expected_files(tmp_path, capsys):
     out = tmp_path / "exp"
-    code = main(TINY_RUN + ["--functions", "F2", "--audit", "--out", str(out)])
+    code = main(TINY_RUN + ["--functions", "F2", "--out", str(out)])
     assert code == 0
+    assert capsys.readouterr().out.endswith("audit: ok\n")
 
     rows = _read(out / "runs.csv")
     header = rows[0]
@@ -159,12 +160,10 @@ def test_run_rejects_bad_params_source(tmp_path, capsys):
 
 def test_stats_fixture_f1_mode(tmp_path):
     out = tmp_path / "stats"
-    assert main(["stats", "--fixture", "paper", "--mode", "f1",
-                 "--out", str(out)]) == 0
+    assert main(["stats", "--fixture", "paper", "--out", str(out)]) == 0
     assert (out / "scores.csv").exists()
     assert (out / "report.json").exists()
     assert (out / "report.txt").exists()
-    assert not (out / "ranks.csv").exists()
     rows = _read(out / "scores.csv")
     assert rows[0][:3] == ["algorithm", "S1", "R1"]
     imhs = next(r for r in rows if r[0] == "IMHS+MDE")
@@ -235,6 +234,34 @@ def test_stats_empty_input_fails(tmp_path, capsys):
 def test_stats_requires_a_source(tmp_path, capsys):
     assert main(["stats", "--out", str(tmp_path / "o3")]) == 1
     assert "provide" in capsys.readouterr().err
+
+
+def test_stats_refuses_both_sources(tmp_path, capsys):
+    src = tmp_path / "medians.csv"
+    src.write_text("algorithm,F1\nalpha,1.0\nbeta,2.0\n")
+    out = tmp_path / "o4"
+    assert main(["stats", "--fixture", "paper", "--input", str(src),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--fixture" in err and "--input" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("algorithm,metric,F1,F2\nalpha,median,1.0,5.0\nbeta\n", "row 3, column metric"),
+    ("algorithm,F1,F2\nalpha,1.0,nan\nbeta,2.0,4.0\n", "row 2, column F2"),
+    ("algorithm,F1,F2\nalpha,1.0,5.0\nbeta,inf,4.0\n", "row 3, column F1"),
+    ("algorithm,F1,F1\nalpha,1.0,5.0\nbeta,2.0,4.0\n", "row 1, column 3"),
+    ("algorithm,metric,F1\nalpha,median,1.0\nalpha,best,oops\n", "row 3, column F1"),
+], ids=["one-field-row", "nan", "inf", "repeated-column", "other-metric"])
+def test_stats_rejects_malformed_table(tmp_path, capsys, text, where):
+    src = tmp_path / "broken.csv"
+    src.write_text(text)
+    out = tmp_path / "o5"
+    assert main(["stats", "--input", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: {where}")
+    assert not (out / "report.json").exists()
 
 
 def test_tune_deterministic_output(tmp_path):
@@ -308,6 +335,13 @@ def test_run_rejects_non_finite_budget_scale(tmp_path, capsys, scale):
     assert "budget_scale must be positive and finite" in capsys.readouterr().err
 
 
+def test_run_rejects_a_budget_scale_that_overflows(tmp_path, capsys):
+    argv = TINY_RUN + ["--functions", "F1", "--out", str(tmp_path / "x")]
+    argv[argv.index("--budget-scale") + 1] = "1e308"
+    assert main(argv) == 1
+    assert "budget_scale 1e+308 overflows" in capsys.readouterr().err
+
+
 def _run_hash(tmp_path, name, params):
     out = tmp_path / name
     assert main(TINY_RUN + ["--functions", "F1", "--params", params,
@@ -373,7 +407,7 @@ def test_audit_matches_exactly_and_catches_a_changed_summary(tmp_path):
     # five runs per function give a mean and a stddev of five rounded inputs
     assert main(["run", "--dim", "10", "--runs", "5", "--seed", "3",
                  "--budget-scale", "0.002", "--parallel", "1",
-                 "--functions", "F1,F2,F3", "--audit", "--out", str(out)]) == 0
+                 "--functions", "F1,F2,F3", "--out", str(out)]) == 0
     runs = _read(out / "runs.csv")
     finals = [float(r[runs[0].index("final_best")]) for r in runs[1:]]
     assert all(float(f"{v:.16e}") == v for v in finals)
@@ -411,5 +445,5 @@ def test_runs_csv_keeps_finished_functions_when_a_later_one_fails(tmp_path, monk
 def test_out_dir_env_variable(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv(OUT_DIR_ENV, str(target))
-    assert main(["stats", "--fixture", "paper", "--mode", "ranks"]) == 0
+    assert main(["stats", "--fixture", "paper"]) == 0
     assert (target / "ranks.csv").exists()

@@ -3,7 +3,13 @@ import pytest
 
 from lsgo_hybrid import population
 from lsgo_hybrid.benchmarks import make_instance
-from lsgo_hybrid.harmony import HarmonyParams, harmony_run, harmony_update, hmcr_schedule
+from lsgo_hybrid.harmony import (
+    BANDWIDTH_FRACTION,
+    HarmonyParams,
+    harmony_run,
+    harmony_update,
+    hmcr_schedule,
+)
 from lsgo_hybrid.population import Population
 
 
@@ -17,31 +23,27 @@ def _pool(size=10, dim=5, seed=0, objective=sphere, bounds=(-10.0, 10.0)):
 
 
 def test_schedule_endpoints_and_linearity():
-    assert hmcr_schedule(1, 100, 0.7, 0.9) == pytest.approx(0.7)
-    assert hmcr_schedule(100, 100, 0.7, 0.9) == pytest.approx(0.9)
-    mid = hmcr_schedule(50, 100, 0.7, 0.9)
-    lo = hmcr_schedule(25, 100, 0.7, 0.9)
-    hi = hmcr_schedule(75, 100, 0.7, 0.9)
+    assert hmcr_schedule(1, 100) == pytest.approx(0.7)
+    assert hmcr_schedule(100, 100) == pytest.approx(0.9)
+    mid = hmcr_schedule(50, 100)
+    lo = hmcr_schedule(25, 100)
+    hi = hmcr_schedule(75, 100)
     assert mid == pytest.approx((lo + hi) / 2)
     # strictly increasing across the schedule
-    values = [hmcr_schedule(i, 50, 0.7, 0.9) for i in range(1, 51)]
+    values = [hmcr_schedule(i, 50) for i in range(1, 51)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_schedule_degenerate_lengths():
-    assert hmcr_schedule(1, 1, 0.7, 0.9) == pytest.approx(0.7)
-    assert hmcr_schedule(1, 0, 0.7, 0.9) == pytest.approx(0.7)
+    assert hmcr_schedule(1, 1) == pytest.approx(0.7)
+    assert hmcr_schedule(1, 0) == pytest.approx(0.7)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         HarmonyParams(max_iterations=-1).validate()
     with pytest.raises(ValueError):
-        HarmonyParams(hmcr_lo=0.9, hmcr_hi=0.7).validate()
-    with pytest.raises(ValueError):
         HarmonyParams(par=1.5).validate()
-    with pytest.raises(ValueError):
-        HarmonyParams(bandwidth_fraction=-0.1).validate()
     HarmonyParams().validate()
 
 
@@ -156,8 +158,7 @@ def test_harmony_run_is_a_loop_of_the_public_steps(monkeypatch, chunk):
     # does, whether the 148 steps take many chunks or one (chunk 256)
     monkeypatch.setattr(population, "CHUNK", chunk)
     bounds = (-10.0, 10.0)
-    params = HarmonyParams(max_iterations=200, hmcr_lo=0.5, hmcr_hi=0.95, par=0.4,
-                           bandwidth_fraction=0.05)
+    params = HarmonyParams(max_iterations=200, par=0.4)
     chunked = _pool(size=9, dim=6, seed=40)
     stepped = _pool(size=9, dim=6, seed=40)
     rng_chunked, rng_stepped = np.random.default_rng(41), np.random.default_rng(41)
@@ -165,8 +166,8 @@ def test_harmony_run_is_a_loop_of_the_public_steps(monkeypatch, chunk):
     spent = harmony_run(chunked, params, sphere, rng_chunked, iteration_window=(3, 150),
                         bounds=bounds)
     for it in range(3, 151):
-        hmcr = hmcr_schedule(it, params.max_iterations, params.hmcr_lo, params.hmcr_hi)
-        v = harmony_update(stepped, hmcr, params.par, params.bandwidth_fraction, bounds,
+        hmcr = hmcr_schedule(it, params.max_iterations)
+        v = harmony_update(stepped, hmcr, params.par, BANDWIDTH_FRACTION, bounds,
                            rng_stepped)
         stepped.offer(v, sphere(v))
 
@@ -187,8 +188,7 @@ def test_batched_harmony_run_is_a_loop_of_the_public_steps(monkeypatch, batch_re
     monkeypatch.setattr(population, "BATCH", cap)
     inst = terraces if terraced else make_instance("F8", 10, 3)
     objective = batch_recorder(inst)
-    params = HarmonyParams(max_iterations=200, hmcr_lo=0.5, hmcr_hi=0.95, par=0.4,
-                           bandwidth_fraction=0.05)
+    params = HarmonyParams(max_iterations=200, par=0.4)
     batched = _pool(size=size, dim=10, seed=42, objective=inst, bounds=inst.bounds)
     stepped = _pool(size=size, dim=10, seed=42, objective=inst, bounds=inst.bounds)
     start = batched.x.copy()
@@ -197,9 +197,9 @@ def test_batched_harmony_run_is_a_loop_of_the_public_steps(monkeypatch, batch_re
     spent = harmony_run(batched, params, objective, rng_batched,
                         iteration_window=(3, 180))
     for it in range(3, 181):
-        hmcr = hmcr_schedule(it, params.max_iterations, params.hmcr_lo, params.hmcr_hi)
-        v = harmony_update(stepped, hmcr, params.par, params.bandwidth_fraction,
-                           inst.bounds, rng_stepped)
+        hmcr = hmcr_schedule(it, params.max_iterations)
+        v = harmony_update(stepped, hmcr, params.par, BANDWIDTH_FRACTION, inst.bounds,
+                           rng_stepped)
         stepped.offer(v, inst(v))
 
     assert spent == sum(objective.sizes) == 178

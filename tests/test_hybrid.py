@@ -56,6 +56,12 @@ def test_scaled_rejects_a_non_finite_scale(scale):
         scaled(HybridConfig(), scale)
 
 
+def test_scaled_rejects_a_scale_that_overflows_an_iteration_count():
+    # 1e308 is finite, but 1e4 harmony iterations times it is not
+    with pytest.raises(ValueError, match="budget_scale 1e\\+308 overflows"):
+        scaled(HybridConfig(), 1e308)
+
+
 def test_scaled_keeps_a_switched_off_phase_at_zero():
     harmony_only = scaled(HybridConfig(de=DeParams(max_iterations=0)), 0.5)
     assert harmony_only.de.max_iterations == 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.special
@@ -5,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsgo_hybrid.stats import fixture
 from lsgo_hybrid.stats import (
     MedianMatrix,
     beta_inc,
@@ -19,6 +22,7 @@ from lsgo_hybrid.stats import (
     quade,
     rank_column,
     rank_matrix,
+    read_results,
     reference_algorithms,
     reference_median_matrix,
     reference_values,
@@ -273,6 +277,65 @@ def test_fixture_spot_values():
     mos13 = matrix.values[matrix.algorithms.index("MOS-CEC2013")]
     assert mos13[0] == 0.0
     assert mos13[11] == pytest.approx(15.6)
+
+
+def test_read_results_takes_both_header_forms():
+    plain = read_results("algorithm,F1,F2\nalpha,1.0,5.0\n\nbeta,2,4e0\n", "plain.csv")
+    assert list(plain) == ["median"]
+    assert plain["median"].algorithms == ["alpha", "beta"]
+    assert plain["median"].functions == ["F1", "F2"]
+    assert plain["median"].values.tolist() == [[1.0, 5.0], [2.0, 4.0]]
+    table = read_results("algorithm,metric,F1\nalpha,best,0.5\nalpha,Median,1.0\n"
+                         "beta,median,2.0\n", "table.csv")
+    assert sorted(table) == ["best", "median"]
+    assert table["best"].algorithms == ["alpha"]
+    assert table["median"].values.tolist() == [[1.0], [2.0]]
+
+
+@pytest.fixture
+def bundled(monkeypatch):
+    """The bundled CSV text, and a function that serves an edited one."""
+    text = fixture._read_bundled(fixture._CSV_NAME).decode("ascii")
+
+    def serve(edited, digest=None):
+        raw = edited.encode("ascii")
+        files = {fixture._CSV_NAME: raw,
+                 fixture._HASH_NAME: (digest or hashlib.sha256(raw).hexdigest()).encode()}
+        monkeypatch.setattr(fixture, "_read_bundled", files.__getitem__)
+        fixture._load.cache_clear()
+
+    yield text, serve
+    fixture._load.cache_clear()
+
+
+def _swap_first_two_median_rows(text):
+    lines = text.splitlines(keepends=True)
+    i, j = [k for k, line in enumerate(lines) if ",median," in line][:2]
+    lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "".join(line for line in text.splitlines(keepends=True)
+                         if ",stddev," not in line),
+    lambda text: text.replace(",stddev,", ",spread,"),
+    lambda text: text.replace(",F15\n", ",F16\n", 1),
+    _swap_first_two_median_rows,
+], ids=["missing-metric", "other-metric", "other-function", "other-order"])
+def test_bundled_table_must_hold_every_metric_of_the_same_algorithms(bundled, edit):
+    text, serve = bundled
+    serve(text)
+    assert reference_median_matrix().values.shape == (11, 15)
+    serve(edit(text))
+    with pytest.raises(RuntimeError, match="must hold the metrics"):
+        reference_median_matrix()
+
+
+def test_bundled_table_checks_its_sha256(bundled):
+    text, serve = bundled
+    serve(text, digest="0" * 64)
+    with pytest.raises(RuntimeError, match="corrupt"):
+        reference_algorithms()
 
 
 def test_full_report_is_json_serialisable():
