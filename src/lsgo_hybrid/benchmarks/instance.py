@@ -40,7 +40,6 @@ buffers, and nothing is stored on the instance between calls.
 from __future__ import annotations
 
 import base64
-import binascii
 import copy
 import json
 from dataclasses import dataclass
@@ -64,7 +63,7 @@ G = 16
 # tailed family (550 non-separable coordinates plus a 450-coordinate tail).
 _CANON = (50, 50, 25, 25, 100, 100, 200)
 _MIN_SIZE = 5
-_MIN_DIMENSION = 10
+MIN_DIMENSION = 10
 
 # Fraction of the dimension covered by the non-separable blocks when a
 # separable tail is present (550 of 1000).
@@ -144,9 +143,9 @@ def _block_sizes(span: int, n: int) -> np.ndarray:
 
 
 def _layout(family: str, d: int):
-    """Return (list of (start, size), tail (start, size) or None, overlap)."""
+    """Return (list of (start, size), tail (start, size) or None)."""
     if family in ("separable", "nonseparable"):
-        return [(0, d)], None, 0
+        return [(0, d)], None
     if family == "partial_tail":
         span = int(_TAIL_SPLIT * d + 0.5)
         n = min(len(_CANON), span // _MIN_SIZE)
@@ -155,12 +154,12 @@ def _layout(family: str, d: int):
         sizes = _block_sizes(span, n)
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         tail = (span, d - span) if d > span else None
-        return list(zip(starts.tolist(), sizes.tolist())), tail, 0
+        return list(zip(starts.tolist(), sizes.tolist())), tail
     if family == "partial":
         n = min(len(_CANON), d // _MIN_SIZE)
         sizes = _block_sizes(d, n)
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        return list(zip(starts.tolist(), sizes.tolist())), None, 0
+        return list(zip(starts.tolist(), sizes.tolist())), None
     if family in ("overlap_conforming", "overlap_conflicting"):
         n = min(len(_CANON), max(2, d // _MIN_SIZE))
         overlap = max(1, (d // n) // 10)
@@ -177,7 +176,7 @@ def _layout(family: str, d: int):
             start += s - overlap
         if subs[-1][0] + subs[-1][1] != d:
             raise ValueError("overlap layout failed to close on the dimension")
-        return subs, None, overlap
+        return subs, None
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -280,8 +279,7 @@ class BenchmarkInstance:
         ends = np.cumsum([p.size for p in parts]).tolist()
         spans = list(zip([0] + ends[:-1], ends))
         self._gather = np.concatenate([self.permutation[p.start : p.stop] for p in parts])
-        # the conflicting chain shifts each block, every other family the
-        # whole vector (from_descriptor holds descriptors to the same rule)
+        # the conflicting chain shifts each block, every other family the whole vector
         if self.shift is None:
             self._shift = np.concatenate([p.local_shift for p in parts])
         else:
@@ -452,68 +450,28 @@ def _encode(a: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(a).tobytes()).decode("ascii")
 
 
-def _decode(s: str, dtype, field: str) -> np.ndarray:
-    try:
-        raw = base64.b64decode(s.encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError):
-        raise ValueError(f"descriptor {field} is not valid base64") from None
-    itemsize = np.dtype(dtype).itemsize
-    if len(raw) % itemsize:
-        raise ValueError(
-            f"descriptor {field} has {len(raw)} bytes, "
-            f"not a whole number of {itemsize}-byte values"
-        )
-    return np.frombuffer(raw, dtype=dtype).copy()
-
-
-def _decode_shift(s: str, field: str) -> np.ndarray:
-    shift = _decode(s, np.float64, field)
-    if not np.isfinite(shift).all():
-        raise ValueError(f"descriptor {field} has non-finite values")
-    return shift
-
-
-def _flag(value, field: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"descriptor {field} must be true or false, got {value!r}")
-    return value
-
-
-def _seed_u64(seed: int) -> int:
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
-
-
-def _streams(function_id: str, dimension: int, seed: int):
-    root = np.random.SeedSequence(
-        [_seed_u64(seed), _FID_INDEX[function_id], int(dimension)]
-    )
-    main_ss, rot_ss = root.spawn(2)
-    return np.random.default_rng(main_ss), rot_ss
-
-
-def _rotations_for(subs, rot_ss):
-    rng = np.random.default_rng(rot_ss)
-    for sub in subs:
-        sub.rotation = random_orthogonal(sub.size, rng)
-
-
 def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInstance:
     """Generate the benchmark instance for (function_id, dimension, seed).
 
-    Draw order from the seeded stream is fixed: permutation, shift(s), block
-    weights; rotations come from a separate child stream so descriptors can
-    regenerate them without replaying the rest.
+    The seed spawns two child streams. Draw order from the first is fixed:
+    permutation, shift(s), block weights; the rotations come from the
+    second. This layout gives the bits every released instance has, so it
+    must not change.
     """
     if function_id not in _FUNCTIONS:
         raise ValueError(
             f"unknown function id {function_id!r}; expected F1..F{len(_FUNCTIONS)}"
         )
     dimension = int(dimension)
-    if dimension < _MIN_DIMENSION:
-        raise ValueError(f"dimension must be at least {_MIN_DIMENSION}")
+    if dimension < MIN_DIMENSION:
+        raise ValueError(f"dimension must be at least {MIN_DIMENSION}")
     fspec = _FUNCTIONS[function_id]
-    sub_layout, tail_layout, _ = _layout(fspec.family, dimension)
-    rng, rot_ss = _streams(function_id, dimension, seed)
+    sub_layout, tail_layout = _layout(fspec.family, dimension)
+    root = np.random.SeedSequence(
+        [int(seed) & 0xFFFFFFFFFFFFFFFF, _FID_INDEX[function_id], dimension]
+    )
+    main_ss, rot_ss = root.spawn(2)
+    rng = np.random.default_rng(main_ss)
 
     perm = rng.permutation(dimension)
     half = BOUNDS[fspec.base]
@@ -540,16 +498,17 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
         for (start, size), w, ls in zip(sub_layout, weights, local_shifts)
     ]
     if fspec.rotated:
-        _rotations_for(subs, rot_ss)
+        rot_rng = np.random.default_rng(rot_ss)
+        for sub in subs:
+            sub.rotation = random_orthogonal(sub.size, rot_rng)
     solution = None
     if conflicting:
         # conflicting targets can push the compromise point outside the box;
         # the solution is linear in the local shifts, so one common shrink
-        # factor pins the exact optimum inside the central band; shrinking
-        # here, not in the constructor, lets descriptors rebuild these shifts.
-        # Without a shrink the constructor takes this solution as it is; after
-        # one it solves again, as rescaling y would not give the bits of a
-        # solve on the rescaled shifts that a descriptor rebuild makes.
+        # factor pins the exact optimum inside the central band. Without a
+        # shrink the constructor takes this solution as it is; after one it
+        # solves again on the shrunk shifts: rescaling y would not give the
+        # same bits, and released instances have those of the second solve.
         solution = _conflict_least_squares(subs, dimension, fspec.conditioning_alpha)
         cap = 0.8 * half
         peak = float(np.max(np.abs(solution)))
@@ -565,113 +524,38 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
                              solution)
 
 
-def _check_layout(family, dimension, shift, subs, tail):
-    """Reject a descriptor whose shifts or blocks do not fit its dimension, or
-    whose shifts are not where generation puts them: on every block of the
-    conflicting chain, and as one global shift for every other family."""
-    conflicting = family == "overlap_conflicting"
-    if conflicting and shift is not None:
-        raise ValueError("descriptor shift must be null for a conflicting chain, "
-                         "whose blocks carry their own shifts")
-    if not conflicting and shift is None:
-        raise ValueError(f"descriptor shift is null, but the {family} family "
-                         "takes one global shift")
-    if shift is not None and shift.size != dimension:
-        raise ValueError(
-            f"descriptor shift has {shift.size} values, dimension is {dimension}"
-        )
-    parts = subs + ([tail] if tail is not None else [])
-    coverage = np.zeros(dimension, dtype=int)
-    for p in parts:
-        if p.size < 1 or p.start < 0 or p.stop > dimension:
-            raise ValueError(
-                f"descriptor block [{p.start}, {p.stop}) leaves [0, {dimension})"
-            )
-        if p.local_shift is None and conflicting:
-            raise ValueError(
-                f"descriptor block [{p.start}, {p.stop}) of a conflicting chain "
-                "has no local shift"
-            )
-        if p.local_shift is not None and not conflicting:
-            raise ValueError(
-                f"descriptor block [{p.start}, {p.stop}) has a local shift, but "
-                f"the {family} family takes only the global shift"
-            )
-        if p.local_shift is not None and p.local_shift.size != p.size:
-            raise ValueError(
-                f"descriptor block [{p.start}, {p.stop}) has a local shift of "
-                f"{p.local_shift.size} values for {p.size} coordinates"
-            )
-        coverage[p.start : p.stop] += 1
-    if not family.startswith("overlap") and not (coverage == 1).all():
-        i = int(np.argmax(coverage != 1))
-        raise ValueError(
-            f"descriptor blocks of the {family} family must cover every "
-            f"coordinate exactly once; coordinate {i} is covered {coverage[i]} times"
-        )
-
-
-def _expect(field: str, recorded, table, function_id: str):
-    if recorded != table:
-        raise ValueError(
-            f"descriptor {field} is {recorded!r}, but {function_id} has {table!r}"
-        )
-
-
 def from_descriptor(desc: dict) -> BenchmarkInstance:
-    """Rebuild an instance from its descriptor dict.
+    """Rebuild the instance a descriptor was exported from.
 
-    Shift, permutation, layout and weights come from the descriptor itself;
-    rotations are regenerated from the recorded seed. The recorded bounds,
-    base, family, scalar-map constants and rotation flags must equal the
-    function table's, shifts must be finite and sit where generation puts
-    them (see `_check_layout`), and block weights must be finite and
-    positive.
+    A descriptor is a checked export of (function_id, dimension, seed): the
+    instance is `make_instance` of those three fields, and `desc` must equal
+    its `to_descriptor()` field by field. A ValueError names the first field
+    that is missing, has the wrong type, differs or is not a descriptor field.
     """
-    if desc.get("format") != _DESCRIPTOR_FORMAT:
-        raise ValueError(f"unrecognised descriptor format {desc.get('format')!r}")
-    function_id = desc["function_id"]
-    if function_id not in _FUNCTIONS:
-        raise ValueError(f"unknown function id {function_id!r}")
-    fspec = _FUNCTIONS[function_id]
-    _flag(desc["irregularity"], "irregularity")
-    half = BOUNDS[fspec.base]
-    for field, table in (("bounds", [-half, half]), ("base", fspec.base),
-                         ("family", fspec.family), ("irregularity", fspec.irregularity),
-                         ("asymmetry_beta", fspec.asymmetry_beta),
-                         ("conditioning_alpha", fspec.conditioning_alpha)):
-        _expect(field, desc[field], table, function_id)
-    dimension = int(desc["dimension"])
-    perm = _decode(desc["permutation"], np.int64, "permutation").astype(np.intp)
-    if sorted(perm.tolist()) != list(range(dimension)):
-        raise ValueError("descriptor permutation is not a bijection")
-    shift = (_decode_shift(desc["shift"], "shift")
-             if desc["shift"] is not None else None)
-    subs = []
-    for k, entry in enumerate(desc["subcomponents"]):
-        local = (
-            _decode_shift(entry["shift"], f"subcomponent {k} shift")
-            if entry.get("shift") is not None
-            else None
-        )
-        field = f"subcomponent {k} rotated"
-        _expect(field, _flag(entry["rotated"], field), fspec.rotated, function_id)
-        weight = float(entry["weight"])
-        if not 0.0 < weight < np.inf:
-            raise ValueError(f"descriptor subcomponent {k} weight must be finite "
-                             f"and positive, got {weight}")
-        subs.append(
-            Subcomponent(int(entry["start"]), int(entry["size"]), weight, None, local)
-        )
-    tail = None
-    if desc.get("tail") is not None:
-        tail = Subcomponent(int(desc["tail"]["start"]), int(desc["tail"]["size"]), 1.0)
-    _check_layout(fspec.family, dimension, shift, subs, tail)
-    if fspec.rotated:
-        _, rot_ss = _streams(function_id, dimension, int(desc["seed"]))
-        _rotations_for(subs, rot_ss)
-    return BenchmarkInstance(function_id, dimension, int(desc["seed"]), shift, perm,
-                             subs, tail)
+    if not isinstance(desc, dict):
+        raise ValueError(f"descriptor must be a JSON object, not {type(desc).__name__}")
+    for field, kind in (("format", str), ("function_id", str),
+                        ("dimension", int), ("seed", int)):
+        if field not in desc:
+            raise ValueError(f"descriptor has no {field} field")
+        value = desc[field]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"descriptor {field} must be of type {kind.__name__}, "
+                             f"got {value!r}")
+    instance = make_instance(desc["function_id"], desc["dimension"], desc["seed"])
+    expected = instance.to_descriptor()
+    for field, value in expected.items():
+        if field not in desc:
+            raise ValueError(f"descriptor has no {field} field")
+        if desc[field] != value:
+            raise ValueError(
+                f"descriptor {field} differs from that of make_instance"
+                f"({instance.function_id!r}, {instance.dimension}, {instance.seed})"
+            )
+    for field in desc:
+        if field not in expected:
+            raise ValueError(f"descriptor has an unknown field {field!r}")
+    return instance
 
 
 def from_json(text: str) -> BenchmarkInstance:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .benchmarks import FUNCTION_IDS, make_instance
+from .benchmarks.instance import MIN_DIMENSION
 from .hybrid import HybridConfig, fe_budget, final_stats, run_batch, scaled
 from .stats.fixture import read_results, reference_median_matrix
 from .stats.ranking import DEFAULT_GROUPS
@@ -155,6 +156,10 @@ def cmd_run(args) -> int:
     if args.parallel < 0:
         raise ValueError("--parallel must be 0 (all CPUs) or a worker count, "
                          f"got {args.parallel}")
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
+    if args.dim < MIN_DIMENSION:
+        raise ValueError(f"--dim must be at least {MIN_DIMENSION}, got {args.dim}")
     functions = parse_function_list(args.functions)
     out = _out_dir(args)
     checkpoints = tuple(int(c) for c in args.checkpoints.split(","))

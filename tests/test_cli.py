@@ -130,6 +130,23 @@ def test_run_rejects_a_negative_parallel_before_writing(tmp_path, capsys):
     assert not (out / "runs.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--runs", "0", "--runs must be at least 1, got 0"),
+    ("--dim", "5", "--dim must be at least 10, got 5"),
+], ids=["runs-0", "dim-5"])
+def test_run_rejects_a_bad_count_before_touching_runs_csv(tmp_path, capsys, flag,
+                                                           value, message):
+    out = tmp_path / "exp"
+    out.mkdir()
+    earlier = "function_id,dim,seed\nF1,10,0\n"
+    (out / "runs.csv").write_text(earlier, encoding="utf-8")
+    args = TINY_RUN + ["--functions", "F1", "--out", str(out)]
+    args[args.index(flag) + 1] = value
+    assert main(args) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert (out / "runs.csv").read_text(encoding="utf-8") == earlier
+
+
 def test_cli_defaults_are_the_config_defaults():
     parser = build_parser()
     tune = parser.parse_args(["tune", "--function", "F1"])

@@ -1,8 +1,13 @@
 import base64
+import copy
+import functools
+import json
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsgo_hybrid.benchmarks import (
     FUNCTION_IDS,
@@ -190,78 +195,8 @@ def _encode(a):
     return base64.b64encode(np.ascontiguousarray(a).tobytes()).decode("ascii")
 
 
-def test_descriptor_rejects_bad_permutation():
-    desc = make_instance("F8", DESK_DIM, 3).to_descriptor()
-    desc["permutation"] = _encode(np.zeros(DESK_DIM, dtype=np.int64))
-    with pytest.raises(ValueError, match="permutation"):
-        from_descriptor(desc)
-
-
-def test_descriptor_rejects_coverage_gap():
-    desc = make_instance("F8", DESK_DIM, 3).to_descriptor()
-    desc["subcomponents"].pop()
-    with pytest.raises(ValueError, match="cover every coordinate exactly once"):
-        from_descriptor(desc)
-    desc = make_instance("F4", DESK_DIM, 3).to_descriptor()
-    desc["tail"] = None
-    with pytest.raises(ValueError, match="cover every coordinate exactly once"):
-        from_descriptor(desc)
-
-
-def test_descriptor_rejects_wrong_block_size():
-    desc = make_instance("F8", DESK_DIM, 3).to_descriptor()
-    desc["subcomponents"][0]["size"] += 1  # now overlaps its neighbour
-    with pytest.raises(ValueError, match="covered 2 times"):
-        from_descriptor(desc)
-    desc = make_instance("F8", DESK_DIM, 3).to_descriptor()
-    desc["subcomponents"][-1]["size"] += 1
-    with pytest.raises(ValueError, match=r"leaves \[0, 50\)"):
-        from_descriptor(desc)
-
-
-def test_descriptor_rejects_span_outside_dimension():
-    desc = make_instance("F4", DESK_DIM, 3).to_descriptor()
-    desc["tail"]["start"] += 1
-    with pytest.raises(ValueError, match=r"leaves \[0, 50\)"):
-        from_descriptor(desc)
-    desc = make_instance("F13", DESK_DIM, 3).to_descriptor()
-    desc["subcomponents"][0]["start"] = -1
-    with pytest.raises(ValueError, match=r"leaves \[0, 50\)"):
-        from_descriptor(desc)
-
-
-def test_descriptor_rejects_shift_length_mismatch():
-    inst = make_instance("F8", DESK_DIM, 3)
-    desc = inst.to_descriptor()
-    desc["shift"] = _encode(inst.shift[:-1])
-    with pytest.raises(ValueError, match="shift has 49 values"):
-        from_descriptor(desc)
-    inst = make_instance("F14", DESK_DIM, 3)
-    desc = inst.to_descriptor()
-    desc["subcomponents"][1]["shift"] = _encode(inst.subcomponents[1].local_shift[1:])
-    with pytest.raises(ValueError, match="local shift of 4 values for 5 coordinates"):
-        from_descriptor(desc)
-    desc["subcomponents"][1]["shift"] = None
-    with pytest.raises(ValueError, match="has no local shift"):
-        from_descriptor(desc)
-
-
-def test_descriptor_rejects_shifts_where_generation_puts_none():
-    # per-block shifts on F8 once passed, and its "optimum" then evaluated to 3.9e7
-    inst = make_instance("F8", DESK_DIM, 3)
-    desc = inst.to_descriptor()
-    for entry in desc["subcomponents"]:
-        entry["shift"] = _encode(np.ones(entry["size"]))
-    with pytest.raises(ValueError, match=r"\) has a local shift, but the partial family"):
-        from_descriptor(desc)
-    desc = inst.to_descriptor()
-    desc["shift"] = None
-    with pytest.raises(ValueError, match="shift is null, but the partial family takes"):
-        from_descriptor(desc)
-    desc = make_instance("F14", DESK_DIM, 3).to_descriptor()
-    desc["shift"] = _encode(np.zeros(DESK_DIM))
-    with pytest.raises(ValueError, match="shift must be null for a conflicting chain"):
-        from_descriptor(desc)
+def _floats(text):
+    return np.frombuffer(base64.b64decode(text), dtype=np.float64)
 
 
 def _truncate(text):
@@ -272,55 +207,158 @@ def _truncate(text):
 def _set_second(value):
     # the encoded float64 array with its second value replaced
     def corrupt(text):
-        a = np.frombuffer(base64.b64decode(text), dtype=np.float64).copy()
+        a = _floats(text).copy()
         a[1] = value
         return _encode(a)
     return corrupt
 
 
-@pytest.mark.parametrize("fid, path, corrupt, message", [
-    ("F8", ("permutation",), _truncate, "descriptor permutation has 397 bytes"),
-    ("F8", ("shift",), _truncate, "descriptor shift has 397 bytes"),
-    ("F14", ("subcomponents", 1, "shift"), _truncate,
-     "descriptor subcomponent 1 shift has 37 bytes"),
-    ("F8", ("irregularity",), lambda _: "no",
-     "irregularity must be true or false, got 'no'"),
-    ("F8", ("subcomponents", 0, "rotated"), lambda _: "false",
-     "subcomponent 0 rotated must be true or false"),
-    ("F8", ("irregularity",), lambda _: False,
-     "descriptor irregularity is False, but F8 has True"),
-    ("F4", ("conditioning_alpha",), lambda _: 1.0,
-     "descriptor conditioning_alpha is 1.0, but F4 has 10.0"),
-    ("F8", ("subcomponents", 0, "rotated"), lambda _: False,
-     "descriptor subcomponent 0 rotated is False, but F8 has True"),
-    ("F1", ("bounds",), lambda _: [-5.0, 5.0],
-     r"descriptor bounds is \[-5.0, 5.0\], but F1 has \[-100.0, 100.0\]"),
-    ("F8", ("shift",), _set_second(np.nan), "descriptor shift has non-finite values"),
-    ("F8", ("shift",), _set_second(-np.inf), "descriptor shift has non-finite values"),
-    ("F14", ("subcomponents", 1, "shift"), _set_second(np.nan),
-     "descriptor subcomponent 1 shift has non-finite values"),
-    ("F8", ("subcomponents", 2, "weight"), lambda _: -1.0,
-     "descriptor subcomponent 2 weight must be finite and positive, got -1.0"),
-    ("F8", ("subcomponents", 2, "weight"), lambda _: 0.0,
-     "subcomponent 2 weight must be finite and positive, got 0.0"),
-    ("F8", ("subcomponents", 2, "weight"), lambda _: float("nan"),
-     "subcomponent 2 weight must be finite and positive, got nan"),
-    ("F4", ("subcomponents", 0, "weight"), lambda _: float("inf"),
-     "subcomponent 0 weight must be finite and positive, got inf"),
+def _edit(*path, to):
+    """The corruption that replaces the descriptor entry at path by
+    to(entry); the empty path replaces the whole descriptor."""
+    def corrupt(desc):
+        if not path:
+            return to(desc)
+        *outer, key = path
+        node = desc
+        for k in outer:
+            node = node[k]
+        node[key] = to(node[key])
+        return desc
+    return corrupt
+
+
+def _drop(key):
+    def corrupt(desc):
+        del desc[key]
+        return desc
+    return corrupt
+
+
+def _plus_one(n):
+    return n + 1
+
+
+def _differs(field):
+    return f"descriptor {field} differs from that of make_instance"
+
+
+@pytest.mark.parametrize("fid, corrupt, message", [
+    ("F8", _edit("permutation", to=_truncate), _differs("permutation")),
+    ("F8", _edit("shift", to=_truncate), _differs("shift")),
+    ("F14", _edit("subcomponents", 1, "shift", to=_truncate), _differs("subcomponents")),
+    ("F8", _edit("irregularity", to=lambda _: "no"), _differs("irregularity")),
+    ("F8", _edit("subcomponents", 0, "rotated", to=lambda _: "false"),
+     _differs("subcomponents")),
+    ("F8", _edit("irregularity", to=lambda _: False), _differs("irregularity")),
+    ("F4", _edit("conditioning_alpha", to=lambda _: 1.0), _differs("conditioning_alpha")),
+    ("F8", _edit("subcomponents", 0, "rotated", to=lambda _: False),
+     _differs("subcomponents")),
+    ("F1", _edit("bounds", to=lambda _: [-5.0, 5.0]), _differs("bounds")),
+    ("F8", _edit("shift", to=_set_second(np.nan)), _differs("shift")),
+    ("F8", _edit("shift", to=_set_second(-np.inf)), _differs("shift")),
+    ("F14", _edit("subcomponents", 1, "shift", to=_set_second(np.nan)),
+     _differs("subcomponents")),
+    ("F8", _edit("subcomponents", 2, "weight", to=lambda _: -1.0),
+     _differs("subcomponents")),
+    ("F8", _edit("subcomponents", 2, "weight", to=lambda _: 0.0),
+     _differs("subcomponents")),
+    ("F8", _edit("subcomponents", 2, "weight", to=lambda _: float("nan")),
+     _differs("subcomponents")),
+    ("F4", _edit("subcomponents", 0, "weight", to=lambda _: float("inf")),
+     _differs("subcomponents")),
+    ("F8", _edit("permutation", to=lambda _: _encode(np.zeros(DESK_DIM, dtype=np.int64))),
+     _differs("permutation")),
+    ("F8", _edit("subcomponents", to=lambda subs: subs[:-1]), _differs("subcomponents")),
+    ("F4", _edit("tail", to=lambda _: None), _differs("tail")),
+    # the first block then overlaps its neighbour, the last one leaves [0, 50)
+    ("F8", _edit("subcomponents", 0, "size", to=_plus_one), _differs("subcomponents")),
+    ("F8", _edit("subcomponents", -1, "size", to=_plus_one), _differs("subcomponents")),
+    ("F4", _edit("tail", "start", to=_plus_one), _differs("tail")),
+    ("F13", _edit("subcomponents", 0, "start", to=lambda _: -1),
+     _differs("subcomponents")),
+    ("F8", _edit("shift", to=lambda text: _encode(_floats(text)[:-1])),
+     _differs("shift")),
+    ("F14", _edit("subcomponents", 1, "shift",
+                  to=lambda text: _encode(_floats(text)[1:])),
+     _differs("subcomponents")),
+    ("F14", _edit("subcomponents", 1, "shift", to=lambda _: None),
+     _differs("subcomponents")),
+    # per-block shifts on F8 once passed, and its "optimum" then evaluated to 3.9e7
+    ("F8", _edit("subcomponents", to=lambda subs: [
+        {**entry, "shift": _encode(np.ones(entry["size"]))} for entry in subs]),
+     _differs("subcomponents")),
+    ("F8", _edit("shift", to=lambda _: None), _differs("shift")),
+    ("F14", _edit("shift", to=lambda _: _encode(np.zeros(DESK_DIM))), _differs("shift")),
+    ("F8", _drop("seed"), "descriptor has no seed field"),
+    ("F8", _drop("permutation"), "descriptor has no permutation field"),
+    ("F8", _edit(to=lambda _: []), "descriptor must be a JSON object, not list"),
+    ("F8", _edit(to=lambda _: None), "descriptor must be a JSON object, not NoneType"),
+    ("F8", _edit("seed", to=lambda _: 3.9),
+     "descriptor seed must be of type int, got 3.9"),
+    # seed 4's rotations with seed 3's shifts: an instance no seed generates
+    ("F8", _edit("seed", to=_plus_one),
+     r"descriptor permutation differs from that of make_instance\('F8', 50, 4\)"),
+    ("F8", _edit("function_id", to=lambda fid: [fid]),
+     r"descriptor function_id must be of type str, got \['F8'\]"),
+    ("F8", _edit("dimension", to=lambda _: True),
+     "descriptor dimension must be of type int, got True"),
+    ("F8", lambda desc: {**desc, "comment": "hand-edited"},
+     "descriptor has an unknown field 'comment'"),
 ], ids=["truncated-permutation", "truncated-shift", "truncated-local-shift",
         "string-irregularity", "string-rotated", "table-irregularity",
         "table-conditioning-alpha", "table-rotated", "table-bounds",
         "nan-shift", "infinite-shift", "nan-local-shift", "negative-weight",
-        "zero-weight", "nan-weight", "infinite-weight"])
-def test_descriptor_rejects_malformed_field(fid, path, corrupt, message):
-    desc = make_instance(fid, DESK_DIM, 3).to_descriptor()
-    *outer, key = path
-    node = desc
-    for k in outer:
-        node = node[k]
-    node[key] = corrupt(node[key])
+        "zero-weight", "nan-weight", "infinite-weight",
+        "bad-permutation", "missing-block", "missing-tail", "overlapping-block",
+        "block-past-dimension", "tail-past-dimension", "negative-block-start",
+        "short-shift", "short-local-shift", "missing-local-shift",
+        "local-shifts-on-partial", "missing-shift", "global-shift-on-chain",
+        "missing-seed", "missing-permutation", "list", "null", "fractional-seed",
+        "another-seed", "list-function-id", "bool-dimension", "unknown-field"])
+def test_descriptor_rejects_malformed_field(fid, corrupt, message):
+    desc = corrupt(make_instance(fid, DESK_DIM, 3).to_descriptor())
     with pytest.raises(ValueError, match=message):
-        from_descriptor(desc)
+        from_json(json.dumps(desc))
+
+
+@functools.cache
+def _fuzz_descriptor(fid):
+    return make_instance(fid, DESK_DIM, 5).to_descriptor()
+
+
+def _paths(node, path=()):
+    """The path of every entry of a descriptor, the empty path first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _paths(node[key], path + (key,))
+
+
+# arbitrary JSON values; integers stay small, so that a mutated dimension
+# builds a small instance
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_descriptor_is_refused_or_round_trips(data):
+    fid = data.draw(st.sampled_from(["F4", "F8", "F14"]))
+    desc = copy.deepcopy(_fuzz_descriptor(fid))
+    path = data.draw(st.sampled_from(list(_paths(desc))))
+    mutated = _edit(*path, to=lambda _: data.draw(_JSON_VALUES))(desc)
+    try:
+        clone = from_descriptor(mutated)
+    except ValueError:
+        return
+    assert clone.to_descriptor() == mutated
 
 
 def test_the_oscillation_and_skew_maps_come_together():
@@ -517,7 +555,8 @@ def test_conflicting_chain_descriptor_round_trips_exactly(dim, seed):
 @pytest.mark.parametrize("seed, shrunk", [(3, False), (0, True), (10, True)])
 def test_conflicting_chain_is_solved_once_unless_shrunk(monkeypatch, seed, shrunk):
     # generation solves the least-squares problem to decide the shrink; the
-    # constructor reuses that solution unless the local shifts were shrunk
+    # constructor reuses that solution unless the local shifts were shrunk.
+    # A descriptor rebuild is a generation, so it solves as often
     solve = instance_mod._conflict_least_squares
     calls = []
 
@@ -530,7 +569,7 @@ def test_conflicting_chain_is_solved_once_unless_shrunk(monkeypatch, seed, shrun
     assert len(calls) == (2 if shrunk else 1)
     calls.clear()
     clone = from_descriptor(inst.to_descriptor())
-    assert len(calls) == 1
+    assert len(calls) == (2 if shrunk else 1)
     assert clone.to_descriptor() == inst.to_descriptor()
     assert np.array_equal(clone.optimum_preimage, inst.optimum_preimage)
     assert clone._offset == inst._offset
