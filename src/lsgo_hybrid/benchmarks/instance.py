@@ -542,16 +542,22 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"descriptor {field} must be of type {kind.__name__}, "
                              f"got {value!r}")
+    source = f"make_instance({desc['function_id']!r}, {desc['dimension']}, {desc['seed']})"
+    # an edited dimension is refused before an instance of that size is built:
+    # the permutation is `dimension` int64 values in base64
+    if "permutation" not in desc:
+        raise ValueError("descriptor has no permutation field")
+    permutation = desc["permutation"]
+    b64_length = 4 * ((8 * desc["dimension"] + 2) // 3)
+    if not isinstance(permutation, str) or len(permutation) != b64_length:
+        raise ValueError(f"descriptor permutation differs from that of {source}")
     instance = make_instance(desc["function_id"], desc["dimension"], desc["seed"])
     expected = instance.to_descriptor()
     for field, value in expected.items():
         if field not in desc:
             raise ValueError(f"descriptor has no {field} field")
         if desc[field] != value:
-            raise ValueError(
-                f"descriptor {field} differs from that of make_instance"
-                f"({instance.function_id!r}, {instance.dimension}, {instance.seed})"
-            )
+            raise ValueError(f"descriptor {field} differs from that of {source}")
     for field in desc:
         if field not in expected:
             raise ValueError(f"descriptor has an unknown field {field!r}")

@@ -111,26 +111,54 @@ def _gradient(n: int) -> np.ndarray:
     return np.arange(n) / (n - 1)
 
 
+# doubles of the Gaussian draw generated at once
+_DRAW_CHUNK = 1 << 16
+# side of the square blocks `_transpose_inplace` swaps
+_TRANSPOSE_BLOCK = 128
+
+
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal matrix from the QR factorisation of a Gaussian draw.
 
     Column signs are fixed from the R diagonal so the result is a
     deterministic function of the draw.
 
-    LAPACK's dgeqrf and dorgqr run in place on one buffer that holds the draw
-    in column-major order, with the workspace each routine asks for, as
-    `np.linalg.qr` runs them: Q is that of `np.linalg.qr(draw)` bit for bit,
-    without its copies of the matrix.
+    The draw, LAPACK's factorisation and the result share one n x n buffer.
+    The draw is generated a chunk of rows at a time, each chunk written
+    transposed, so the buffer holds it in column-major order. dgeqrf and
+    dorgqr run in place on it with the workspace each routine asks for, as
+    `np.linalg.qr` runs them, and leave Q column-major; the buffer is then
+    transposed over itself one square block at a time. Q is that of
+    `np.linalg.qr(draw)` bit for bit, and the generator ends where one
+    (n, n) draw leaves it.
     """
-    a = np.ascontiguousarray(rng.standard_normal((n, n)).T)
+    a = np.empty((n, n))
+    rows = max(1, _DRAW_CHUNK // n)
+    for i in range(0, n, rows):
+        a[:, i : i + rows] = rng.standard_normal((min(rows, n - i), n)).T
     tau = np.empty(n)
     _lapack("dgeqrf", n, n, a, n, tau)
     signs = np.sign(a.diagonal())  # R's diagonal, before dorgqr overwrites it
     signs[signs == 0] = 1.0
     _lapack("dorgqr", n, n, n, a, n, tau)
-    q = a.T.copy()
-    q *= signs
-    return q
+    _transpose_inplace(a)
+    a *= signs
+    return a
+
+
+def _transpose_inplace(a: np.ndarray) -> None:
+    """Transpose the square array a over itself: each diagonal block in
+    place, each pair of blocks mirrored across the diagonal swapped, through
+    temporaries of one block."""
+    b = _TRANSPOSE_BLOCK
+    for i in range(0, len(a), b):
+        rows = slice(i, i + b)
+        a[rows, rows] = a[rows, rows].T.copy()
+        for j in range(i + b, len(a), b):
+            cols = slice(j, j + b)
+            upper = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = upper.T
 
 
 def _lapack(name: str, m: int, n: int, *args) -> None:

@@ -322,6 +322,25 @@ def test_descriptor_rejects_malformed_field(fid, corrupt, message):
         from_json(json.dumps(desc))
 
 
+@pytest.mark.parametrize("corrupt, dimension", [
+    (_edit("dimension", to=lambda _: 2000), 2000),
+    (_edit("dimension", to=_plus_one), DESK_DIM + 1),
+    (_edit("dimension", to=lambda _: 10), 10),
+    (_edit("permutation", to=lambda text: list(text)), DESK_DIM),
+], ids=["dimension-2000", "dimension-plus-one", "dimension-10", "list-permutation"])
+def test_a_permutation_unfit_for_the_dimension_is_refused_before_building(
+        monkeypatch, corrupt, dimension):
+    desc = corrupt(make_instance("F15", DESK_DIM, 3).to_descriptor())
+
+    def build(*args):
+        raise AssertionError("from_descriptor built an instance")
+
+    monkeypatch.setattr(instance_mod, "make_instance", build)
+    with pytest.raises(ValueError, match=r"descriptor permutation differs from that of "
+                                         rf"make_instance\('F15', {dimension}, 3\)"):
+        from_json(json.dumps(desc))
+
+
 @functools.cache
 def _fuzz_descriptor(fid):
     return make_instance(fid, DESK_DIM, 5).to_descriptor()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,12 @@ from lsgo_hybrid.benchmarks import (
     random_orthogonal,
     skew,
 )
-from lsgo_hybrid.benchmarks.transforms import oscillate_skew_inplace, sin_inplace
+from lsgo_hybrid.benchmarks.transforms import (
+    _DRAW_CHUNK,
+    _TRANSPOSE_BLOCK,
+    oscillate_skew_inplace,
+    sin_inplace,
+)
 
 
 def test_oscillate_fixed_points():
@@ -142,7 +149,12 @@ def _qr_reference(n, rng):
 
 
 def _rotated_sizes():
-    sizes = {5, 7, 500}
+    # the edges of random_orthogonal's loops: a lone transpose block of 2 or
+    # 3, one below, at and one above the transpose block size, and 300,
+    # whose last chunk of the draw is partial
+    b = _TRANSPOSE_BLOCK
+    assert 300 % (_DRAW_CHUNK // 300)
+    sizes = {2, 3, 5, 7, b - 1, b, b + 1, 300, 500}
     for fid in ("F4", "F8", "F13", "F15"):
         for dim in (50, 1000):
             inst = make_instance(fid, dim, 0)
@@ -159,3 +171,16 @@ def test_random_orthogonal_equals_linalg_qr_bit_for_bit(n):
     assert q.tobytes() == expected.tobytes()
     # one n x n draw, as the reference takes
     assert rng.random() == ref_rng.random()
+
+
+def test_random_orthogonal_allocates_one_matrix():
+    # the draw, LAPACK's factorisation and the result share one n x n buffer;
+    # the rest is a chunk of the draw or a transpose block
+    n = 600
+    tracemalloc.start()
+    try:
+        random_orthogonal(n, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * n * 8
