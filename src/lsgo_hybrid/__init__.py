@@ -7,14 +7,12 @@ from .benchmarks import BenchmarkInstance, from_descriptor, from_json, make_inst
 from .de import DeParams, de_run
 from .harmony import HarmonyParams, harmony_run, hmcr_schedule
 from .hybrid import (
-    BatchSummary,
     HybridConfig,
     RunResult,
     fe_budget,
     run,
     run_batch,
     scaled,
-    summarize,
 )
 from .population import Candidate, Population
 from .tuning import (
@@ -26,7 +24,7 @@ from .tuning import (
     tune,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "BenchmarkInstance",
@@ -38,14 +36,12 @@ __all__ = [
     "HarmonyParams",
     "harmony_run",
     "hmcr_schedule",
-    "BatchSummary",
     "HybridConfig",
     "RunResult",
     "fe_budget",
     "run",
     "run_batch",
     "scaled",
-    "summarize",
     "Candidate",
     "Population",
     "ParamVector",

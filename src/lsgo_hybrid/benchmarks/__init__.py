@@ -4,7 +4,6 @@ from .functions import BASE_FUNCTIONS, BOUNDS, eval_base
 from .instance import (
     FUNCTION_IDS,
     BenchmarkInstance,
-    Subcomponent,
     from_descriptor,
     from_json,
     make_instance,
@@ -22,7 +21,6 @@ __all__ = [
     "eval_base",
     "FUNCTION_IDS",
     "BenchmarkInstance",
-    "Subcomponent",
     "from_descriptor",
     "from_json",
     "make_instance",

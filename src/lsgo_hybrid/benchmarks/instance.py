@@ -231,7 +231,7 @@ class BenchmarkInstance:
     """
 
     def __init__(self, function_id, dimension, seed, shift, permutation,
-                 subcomponents, tail, solution=None):
+                 subcomponents, tail, solution):
         fspec = _FUNCTIONS[function_id]
         self.function_id = function_id
         self.dimension = int(dimension)
@@ -284,9 +284,8 @@ class BenchmarkInstance:
             self._shift = np.concatenate([p.local_shift for p in parts])
         else:
             self._shift = self.shift[self._gather]
-        self._rotations = None
-        if any(p.rotation is not None for p in parts):
-            self._rotations = [(a, b, p.rotation) for (a, b), p in zip(spans, parts)]
+        self._rotations = [(a, b, p.rotation) for (a, b), p in zip(spans, parts)
+                           if p.rotation is not None]
         # the function table pairs the two maps: every id with the oscillation
         # map has a skew slope, and the one without (F14) has neither
         self._slope = None
@@ -313,15 +312,12 @@ class BenchmarkInstance:
             fn = _DISPATCH[self.base]
             self._terms = [(a, b, p.weight, fn) for (a, b), p in zip(spans, parts)]
 
-    def _solve_optimum(self, solution=None) -> np.ndarray:
+    def _solve_optimum(self, solution) -> np.ndarray:
         """Optimum preimage; `solution` is the conflicting chain's
-        `_conflict_least_squares` result if the caller already has it."""
+        `_conflict_least_squares` result, None for every other family."""
         d = self.dimension
         if self.family == "overlap_conflicting":
             y = solution
-            if y is None:
-                y = _conflict_least_squares(self.subcomponents, d,
-                                            self.conditioning_alpha)
         else:
             # zero is a fixed point of every map, so the preimage of the
             # all-zeros target is the shift itself; the Rosenbrock chain's
@@ -346,17 +342,15 @@ class BenchmarkInstance:
     def _evaluate_group(self, x: np.ndarray) -> np.ndarray:
         """Values of the rows of x, an (m, dimension) array with m <= G."""
         m = len(x)
-        if self._rotations is None:
+        if not self._rotations:
             z = np.take(x, self._gather, axis=1)
         else:
             padded = np.zeros((G, self._gather.size))
             z = padded[:m]
             np.take(x, self._gather, axis=1, out=z)
         z -= self._shift
-        if self._rotations is not None:
-            for a, b, rotation in self._rotations:
-                if rotation is not None:
-                    z[:, a:b] = (rotation @ padded[:, a:b].T)[:, :m].T
+        for a, b, rotation in self._rotations:
+            z[:, a:b] = (rotation @ padded[:, a:b].T)[:, :m].T
         if self._slope is not None:
             oscillate_skew_inplace(z, self._slope)
         if self._row_weights is not None:
@@ -505,17 +499,18 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
     if conflicting:
         # conflicting targets can push the compromise point outside the box;
         # the solution is linear in the local shifts, so one common shrink
-        # factor pins the exact optimum inside the central band. Without a
-        # shrink the constructor takes this solution as it is; after one it
-        # solves again on the shrunk shifts: rescaling y would not give the
-        # same bits, and released instances have those of the second solve.
+        # factor pins the exact optimum inside the central band. After a
+        # shrink the chain is solved again on the shrunk shifts: rescaling
+        # the solution would not give the same bits, and released instances
+        # have those of the second solve.
         solution = _conflict_least_squares(subs, dimension, fspec.conditioning_alpha)
         cap = 0.8 * half
         peak = float(np.max(np.abs(solution)))
         if peak > cap:
             for sub in subs:
                 sub.local_shift = sub.local_shift * (cap / peak)
-            solution = None
+            solution = _conflict_least_squares(subs, dimension,
+                                               fspec.conditioning_alpha)
     tail = None
     if tail_layout is not None:
         tail = Subcomponent(tail_layout[0], tail_layout[1], 1.0)

@@ -26,17 +26,8 @@ from . import __version__
 from .benchmarks import FUNCTION_IDS, make_instance
 from .benchmarks.instance import MIN_DIMENSION
 from .hybrid import HybridConfig, fe_budget, final_stats, run_batch, scaled
-from .stats.fixture import read_results, reference_median_matrix
-from .stats.ranking import DEFAULT_GROUPS
-from .stats.report import (
-    format_text,
-    full_report,
-    write_json,
-    write_rank_csv,
-    write_scores_csv,
-    write_tests_csv,
-    write_text,
-)
+from .stats.fixture import METRICS, read_results, reference_median_matrix
+from .stats.report import format_text, full_report, write_report
 from .tuning import ParamVector, TunerConfig, hybrid_config_for, load_specialist_params, tune
 
 OUT_DIR_ENV = "LSGO_HYBRID_OUT"
@@ -161,8 +152,12 @@ def cmd_run(args) -> int:
     if args.dim < MIN_DIMENSION:
         raise ValueError(f"--dim must be at least {MIN_DIMENSION}, got {args.dim}")
     functions = parse_function_list(args.functions)
+    try:
+        checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
+    except ValueError:
+        raise ValueError("--checkpoints must be comma-separated integers, "
+                         f"got {args.checkpoints!r}") from None
     out = _out_dir(args)
-    checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
 
     base = HybridConfig(checkpoints=checkpoints, seed=args.seed)
     if args.budget_scale != 1.0:
@@ -202,7 +197,7 @@ def cmd_run(args) -> int:
         for fid in sorted(functions, key=_FID_NUM.get):
             results, summary = run_batch((fid, args.dim, args.seed), configs[fid],
                                          n_runs=args.runs, workers=workers)
-            summaries.append(summary)
+            summaries.append((fid, summary))
             for r in results:
                 row = [fid, args.dim, r.seed]
                 row += [_exact(r.best_at_checkpoint[fe]) for fe in checkpoint_fes]
@@ -210,17 +205,15 @@ def cmd_run(args) -> int:
                         int(round(r.wall_time_s * 1000.0)), config_hash]
                 writer.writerow(row)
             fh.flush()
-            print(f"{fid}: {args.runs} runs done, median {_sci(summary.median)}")
+            print(f"{fid}: {args.runs} runs done, median {_sci(summary['median'])}")
 
     summary_path = out / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["function_id", "dim", "n_runs", "best", "median",
-                         "worst", "mean", "stddev", "config_hash"])
-        for s in summaries:
-            writer.writerow([s.function_id, s.dimension, s.n_runs,
-                             _sci(s.best), _sci(s.median), _sci(s.worst),
-                             _sci(s.mean), _sci(s.stddev), config_hash])
+        writer.writerow(["function_id", "dim", "n_runs", *METRICS, "config_hash"])
+        for fid, summary in summaries:
+            writer.writerow([fid, args.dim, args.runs,
+                             *(_sci(summary[m]) for m in METRICS), config_hash])
 
     print(f"wrote {runs_path} and {summary_path}")
     audit_results(runs_path, summary_path)
@@ -280,20 +273,9 @@ def cmd_stats(args) -> int:
     else:
         raise ValueError("provide --input FILE or --fixture paper")
 
-    # Race-style scoring only covers the groups whose functions the input
-    # actually provides; a partial matrix simply gets fewer (or no) groups.
-    present = set(matrix.functions)
-    groups = tuple(
-        trimmed for g in DEFAULT_GROUPS
-        if (trimmed := tuple(f for f in g if f in present))
-    )
-    report = full_report(matrix, groups)
+    report = full_report(matrix)
     out = _out_dir(args)
-    write_json(report, out / "report.json")
-    write_text(report, out / "report.txt")
-    write_rank_csv(report, out / "ranks.csv")
-    write_tests_csv(report, out / "tests.csv")
-    write_scores_csv(report, out / "scores.csv")
+    write_report(report, out)
     sys.stdout.write(format_text(report))
     print(f"wrote report files to {out}")
     return 0

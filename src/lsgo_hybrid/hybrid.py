@@ -92,18 +92,6 @@ class RunResult:
     trace: list[float]
 
 
-@dataclass
-class BatchSummary:
-    function_id: str
-    dimension: int
-    n_runs: int
-    best: float
-    median: float
-    worst: float
-    mean: float
-    stddev: float
-
-
 def _rng_for(seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, int(run_index)])
@@ -176,21 +164,14 @@ def final_stats(finals) -> dict[str, float]:
     }
 
 
-def summarize(results: list[RunResult]) -> BatchSummary:
-    """`final_stats` of the runs' final best values."""
-    stats = final_stats(r.final_best.fitness for r in results)
-    first = results[0]
-    return BatchSummary(function_id=first.function_id, dimension=first.dimension,
-                        n_runs=len(results), **stats)
-
-
 def _batch_worker(args) -> RunResult:
     instance, config, run_index = args
     return run(instance.fresh_copy(), config, run_index)
 
 
 def run_batch(instance_spec, config: HybridConfig, n_runs: int, workers: int = 1):
-    """Independent runs on one instance; returns (results, summary).
+    """Independent runs on one instance; returns (results, summary), where
+    summary is the `final_stats` of the runs' final best values.
 
     `instance_spec` is (function_id, dimension, instance_seed) or an
     already-built instance. Run i draws its stream from (config.seed, i),
@@ -209,4 +190,4 @@ def run_batch(instance_spec, config: HybridConfig, n_runs: int, workers: int = 1
             results = list(pool.map(_batch_worker, tasks))
     else:
         results = [_batch_worker(t) for t in tasks]
-    return results, summarize(results)
+    return results, final_stats(r.final_best.fitness for r in results)

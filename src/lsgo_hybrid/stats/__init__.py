@@ -1,10 +1,8 @@
 """Ranking and nonparametric-test pipeline over cross-algorithm results."""
 
 from .fixture import (
-    FUNCTION_LABELS,
     METRICS,
     read_results,
-    reference_algorithms,
     reference_median_matrix,
     reference_values,
 )
@@ -19,22 +17,12 @@ from .ranking import (
     rank_column,
     rank_matrix,
 )
-from .report import (
-    format_text,
-    full_report,
-    write_json,
-    write_rank_csv,
-    write_scores_csv,
-    write_tests_csv,
-    write_text,
-)
+from .report import format_text, full_report, write_report
 from .special import beta_inc, chi2_sf, f_sf, gamma_q
 
 __all__ = [
-    "FUNCTION_LABELS",
     "METRICS",
     "read_results",
-    "reference_algorithms",
     "reference_median_matrix",
     "reference_values",
     "FriedmanResult",
@@ -51,11 +39,7 @@ __all__ = [
     "rank_matrix",
     "format_text",
     "full_report",
-    "write_json",
-    "write_rank_csv",
-    "write_scores_csv",
-    "write_tests_csv",
-    "write_text",
+    "write_report",
     "beta_inc",
     "chi2_sf",
     "f_sf",

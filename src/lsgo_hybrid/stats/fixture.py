@@ -15,10 +15,10 @@ import math
 from functools import lru_cache
 from importlib import resources
 
+from ..benchmarks import FUNCTION_IDS
 from .ranking import MedianMatrix
 
 METRICS = ("best", "median", "worst", "mean", "stddev")
-FUNCTION_LABELS = tuple(f"F{i}" for i in range(1, 16))
 
 _DATA_PACKAGE = "lsgo_hybrid.data"
 _CSV_NAME = "reference_results.csv"
@@ -90,16 +90,11 @@ def _load() -> dict[str, MedianMatrix]:
 
     tables = read_results(raw.decode("ascii"), _CSV_NAME)
     if (sorted(tables) != sorted(METRICS)
-            or tables["median"].functions != list(FUNCTION_LABELS)
+            or tables["median"].functions != list(FUNCTION_IDS)
             or any(m.algorithms != tables["median"].algorithms for m in tables.values())):
         raise RuntimeError(f"bundled results table must hold the metrics {METRICS} "
                            "of the same algorithms, in the same order, on F1..F15")
     return tables
-
-
-def reference_algorithms() -> tuple[str, ...]:
-    """Algorithm names in the bundled table, file order."""
-    return tuple(_load()["median"].algorithms)
 
 
 def reference_values(metric: str) -> MedianMatrix:

@@ -1,9 +1,9 @@
-"""Full ranking report over a median matrix, plus file writers.
+"""Full ranking report over a median matrix, plus its writer.
 
 One call computes everything the comparison workflow needs: per-function
 competition ranks, first-place counts, both omnibus tests, and the
-race-style group scores. Writers emit CSV tables, a JSON dump, and a
-plain-text summary.
+race-style group scores. `write_report` emits the CSV tables, a JSON dump
+and a plain-text summary.
 """
 
 from __future__ import annotations
@@ -12,14 +12,20 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .nonparametric import friedman, quade
 from .ranking import DEFAULT_GROUPS, MedianMatrix, f1_scores, nbest, rank_matrix
 
 
-def full_report(matrix: MedianMatrix, groups: tuple = DEFAULT_GROUPS) -> dict:
-    """Every table of the comparison pipeline as one plain dict."""
+def full_report(matrix: MedianMatrix) -> dict:
+    """Every table of the comparison pipeline as one plain dict.
+
+    The race-style scores cover `DEFAULT_GROUPS` trimmed to the functions
+    the matrix has, leaving out groups with none of them; `f1_scores` takes
+    any other grouping.
+    """
+    present = set(matrix.functions)
+    groups = tuple(trimmed for g in DEFAULT_GROUPS
+                   if (trimmed := tuple(f for f in g if f in present)))
     comp = rank_matrix(matrix, "competition").astype(int)
     counts = nbest(comp)
     fr = friedman(matrix)
@@ -48,49 +54,6 @@ def full_report(matrix: MedianMatrix, groups: tuple = DEFAULT_GROUPS) -> dict:
         "group_scores": scores.tolist(),
         "group_ranks": group_ranks.tolist(),
     }
-
-
-def write_rank_csv(report: dict, path: Path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", *report["functions"], "nbest"])
-        for i, name in enumerate(report["algorithms"]):
-            writer.writerow([name, *report["competition_ranks"][i],
-                             report["nbest"][i]])
-
-
-def write_tests_csv(report: dict, path: Path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "nbest", "friedman_mean_rank",
-                         "quade_weighted_rank"])
-        fr = report["friedman"]["mean_ranks"]
-        qu = report["quade"]["weighted_ranks"]
-        for i, name in enumerate(report["algorithms"]):
-            writer.writerow([name, report["nbest"][i],
-                             f"{fr[i]:.6f}", f"{qu[i]:.6f}"])
-
-
-def write_scores_csv(report: dict, path: Path):
-    n_groups = len(report["groups"])
-    header = ["algorithm"]
-    for g in range(1, n_groups + 1):
-        header += [f"S{g}", f"R{g}"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, name in enumerate(report["algorithms"]):
-            row = [name]
-            for g in range(n_groups):
-                row += [report["group_scores"][i][g],
-                        report["group_ranks"][i][g]]
-            writer.writerow(row)
-
-
-def write_json(report: dict, path: Path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
 
 
 def format_text(report: dict) -> str:
@@ -145,6 +108,43 @@ def format_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_text(report: dict, path: Path):
-    with open(path, "w", encoding="utf-8") as fh:
+def write_report(report: dict, out_dir: Path):
+    """Write report.json, report.txt, ranks.csv, tests.csv and scores.csv."""
+    out_dir = Path(out_dir)
+    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(format_text(report))
+
+    names = report["algorithms"]
+    with open(out_dir / "ranks.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["algorithm", *report["functions"], "nbest"])
+        for i, name in enumerate(names):
+            writer.writerow([name, *report["competition_ranks"][i],
+                             report["nbest"][i]])
+
+    with open(out_dir / "tests.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["algorithm", "nbest", "friedman_mean_rank",
+                         "quade_weighted_rank"])
+        fr = report["friedman"]["mean_ranks"]
+        qu = report["quade"]["weighted_ranks"]
+        for i, name in enumerate(names):
+            writer.writerow([name, report["nbest"][i],
+                             f"{fr[i]:.6f}", f"{qu[i]:.6f}"])
+
+    n_groups = len(report["groups"])
+    header = ["algorithm"]
+    for g in range(1, n_groups + 1):
+        header += [f"S{g}", f"R{g}"]
+    with open(out_dir / "scores.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, name in enumerate(names):
+            row = [name]
+            for g in range(n_groups):
+                row += [report["group_scores"][i][g],
+                        report["group_ranks"][i][g]]
+            writer.writerow(row)

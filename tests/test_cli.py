@@ -121,6 +121,15 @@ def test_run_custom_checkpoints_and_validation(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1,,2", "2,x"])
+def test_run_rejects_malformed_checkpoints_naming_the_option(tmp_path, capsys, value):
+    out = tmp_path / "cps"
+    assert main(TINY_RUN + ["--functions", "F1", "--checkpoints", value,
+                            "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --checkpoints")
+    assert not (out / "runs.csv").exists()
+
+
 def test_run_rejects_a_negative_parallel_before_writing(tmp_path, capsys):
     out = tmp_path / "neg"
     args = TINY_RUN + ["--functions", "F1", "--out", str(out)]

@@ -7,10 +7,10 @@ from lsgo_hybrid.harmony import HarmonyParams
 from lsgo_hybrid.hybrid import (
     HybridConfig,
     fe_budget,
+    final_stats,
     run,
     run_batch,
     scaled,
-    summarize,
 )
 from lsgo_hybrid.population import Population
 
@@ -149,39 +149,49 @@ def test_run_batch_parallel_matches_serial():
     assert sum_serial == sum_parallel
 
 
+def test_run_batch_on_rotated_blocks_parallel_matches_serial():
+    # F4 has rotated blocks plus a separable tail; the workers evaluate
+    # through the read-only rotations of an unpickled instance
+    config = _tiny(seed=2)
+    serial, sum_serial = run_batch(("F4", 50, 1), config, n_runs=3, workers=1)
+    parallel, sum_parallel = run_batch(("F4", 50, 1), config, n_runs=3, workers=2)
+    for a, b in zip(serial, parallel):
+        assert a.final_best.fitness == b.final_best.fitness
+        assert np.array_equal(a.final_best.x, b.final_best.x)
+        assert a.best_at_checkpoint == b.best_at_checkpoint
+        assert a.trace == b.trace
+    assert sum_serial == sum_parallel
+
+
 def test_run_batch_accepts_prebuilt_instance():
     inst = make_instance("F1", 10, 3)
     config = _tiny(seed=5)
     results, summary = run_batch(inst, config, n_runs=2)
     assert len(results) == 2
-    assert summary.n_runs == 2
+    assert summary == final_stats(r.final_best.fitness for r in results)
     # prototype instance must stay untouched
     assert inst.eval_count == 0
 
 
 def test_summary_order_statistics():
-    config = _tiny(seed=1)
-    results, _ = run_batch(("F1", 10, 0), config, n_runs=3)
-    for r, fake in zip(results, (2.0, 8.0, 5.0)):
-        r.final_best.fitness = fake
-    s = summarize(results)
-    assert s.best == 2.0
-    assert s.median == 5.0
-    assert s.worst == 8.0
-    assert s.mean == pytest.approx(5.0)
-    assert s.stddev == pytest.approx(3.0)
+    s = final_stats([2.0, 8.0, 5.0])
+    assert s["best"] == 2.0
+    assert s["median"] == 5.0
+    assert s["worst"] == 8.0
+    assert s["mean"] == pytest.approx(5.0)
+    assert s["stddev"] == pytest.approx(3.0)
 
 
 def test_summary_single_run_stddev_zero():
     config = _tiny(seed=1)
     results, summary = run_batch(("F1", 10, 0), config, n_runs=1)
-    assert summary.stddev == 0.0
-    assert summary.best == summary.median == summary.worst
+    assert summary["stddev"] == 0.0
+    assert summary["best"] == summary["median"] == summary["worst"]
 
 
-def test_summarize_rejects_empty():
+def test_final_stats_rejects_empty():
     with pytest.raises(ValueError):
-        summarize([])
+        final_stats([])
 
 
 def test_config_validation():

@@ -573,9 +573,9 @@ def test_conflicting_chain_descriptor_round_trips_exactly(dim, seed):
 
 @pytest.mark.parametrize("seed, shrunk", [(3, False), (0, True), (10, True)])
 def test_conflicting_chain_is_solved_once_unless_shrunk(monkeypatch, seed, shrunk):
-    # generation solves the least-squares problem to decide the shrink; the
-    # constructor reuses that solution unless the local shifts were shrunk.
-    # A descriptor rebuild is a generation, so it solves as often
+    # generation solves the least-squares problem to decide the shrink, and
+    # again only if the local shifts were shrunk; the constructor never
+    # solves. A descriptor rebuild is a generation, so it solves as often
     solve = instance_mod._conflict_least_squares
     calls = []
 

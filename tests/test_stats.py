@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lsgo_hybrid.stats import fixture
 from lsgo_hybrid.stats import (
+    DEFAULT_GROUPS,
     MedianMatrix,
     beta_inc,
     chi2_sf,
@@ -23,7 +24,6 @@ from lsgo_hybrid.stats import (
     rank_column,
     rank_matrix,
     read_results,
-    reference_algorithms,
     reference_median_matrix,
     reference_values,
 )
@@ -258,10 +258,9 @@ def test_quade_rejects_degenerate_input():
 
 
 def test_fixture_shape_and_algorithms():
-    names = reference_algorithms()
-    assert len(names) == 11
-    assert names[0] == "IMHS+MDE"
     matrix = reference_median_matrix()
+    assert len(matrix.algorithms) == 11
+    assert matrix.algorithms[0] == "IMHS+MDE"
     assert matrix.values.shape == (11, 15)
     for metric in ("best", "median", "worst", "mean", "stddev"):
         assert reference_values(metric).values.shape == (11, 15)
@@ -335,7 +334,7 @@ def test_bundled_table_checks_its_sha256(bundled):
     text, serve = bundled
     serve(text, digest="0" * 64)
     with pytest.raises(RuntimeError, match="corrupt"):
-        reference_algorithms()
+        reference_median_matrix()
 
 
 def test_full_report_is_json_serialisable():
@@ -344,6 +343,18 @@ def test_full_report_is_json_serialisable():
     report = full_report(reference_median_matrix())
     dumped = json.dumps(report)
     assert "competition_ranks" in dumped
+
+
+def test_full_report_trims_the_default_groups_to_the_matrix():
+    full = reference_median_matrix()
+    assert full_report(full)["groups"] == [list(g) for g in DEFAULT_GROUPS]
+    keep = [full.functions.index(f) for f in ("F2", "F9", "F10")]
+    part = MedianMatrix(full.algorithms, ["F2", "F9", "F10"], full.values[:, keep])
+    report = full_report(part)
+    assert report["groups"] == [["F2"], ["F9", "F10"]]
+    assert len(report["group_scores"][0]) == 2
+    other = MedianMatrix(["a", "b"], ["G1", "G2"], [[1.0, 2.0], [2.0, 1.0]])
+    assert full_report(other)["groups"] == []
 
 
 def test_median_matrix_rejects_bad_shapes_and_values():
