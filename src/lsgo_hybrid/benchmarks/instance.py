@@ -347,7 +347,8 @@ class BenchmarkInstance:
         else:
             padded = np.zeros((G, self._gather.size))
             z = padded[:m]
-            np.take(x, self._gather, axis=1, out=z)
+            # the index is in range; "clip" fills out unbuffered, unlike "raise"
+            np.take(x, self._gather, axis=1, out=z, mode="clip")
         z -= self._shift
         for a, b, rotation in self._rotations:
             z[:, a:b] = (rotation @ padded[:, a:b].T)[:, :m].T

@@ -13,9 +13,10 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 
-# sine coefficients of `oscillate`, indexed by z > 0: (negative, positive)
-_SIN_C1 = np.array([5.5, 10.0])
-_SIN_C2 = np.array([3.1, 7.9])
+# halves of `oscillate`'s sine coefficients (5.5, 10.0), (3.1, 7.9) as
+# (lo, hi - lo), negative z taking lo; lo + (hi - lo) rounds to exactly hi
+_HALF_C1 = (2.75, 5.0 - 2.75)
+_HALF_C2 = (1.55, 3.95 - 1.55)
 
 
 def oscillate(z: np.ndarray) -> np.ndarray:
@@ -31,23 +32,25 @@ def oscillate_skew_inplace(z: np.ndarray, slope: np.ndarray | float) -> np.ndarr
     With w = log|oscillate(z)| = log|z| + 0.049*(sin(c1*log|z|) + sin(c2*log|z|)),
     the result is sign(z) * exp(w*E), E = 1 + slope*exp(w/2) where z > 0 and
     E = 1 elsewhere: oscillate(z)^(1 + slope*sqrt(oscillate(z))) written with
-    two exp calls in place of exp, sqrt and power. 0 and +-1 map to
-    themselves exactly, and each element's bits depend on its value and slope
-    alone, not on the array's length, offset or stride.
+    two exp calls in place of exp, sqrt and power; sin(c*v) is taken as
+    2*half_sin_inplace(v*c/2), the 2 folded exactly into 0.098 = 2*0.049. 0
+    and +-1 map to themselves exactly, and each element's bits depend on its
+    value and slope alone, not on the array's length, offset or stride.
     """
     zero = z == 0
-    pos = z > 0
-    sign = pos.view(np.uint8)
+    pos = np.greater(z, 0.0, out=np.empty(z.shape))  # 1.0 where z > 0, else 0.0
     w = np.abs(z)
     w[zero] = 1.0
     np.log(w, out=w)  # log|z|, and 0 where z is 0
-    s1 = _SIN_C1.take(sign)
+    s1 = pos * _HALF_C1[1]
+    s1 += _HALF_C1[0]
     s1 *= w
-    sin_inplace(s1)
-    s2 = _SIN_C2.take(sign)
+    half_sin_inplace(s1)
+    s2 = pos * _HALF_C2[1]
+    s2 += _HALF_C2[0]
     s2 *= w
-    s1 += sin_inplace(s2)
-    s1 *= 0.049
+    s1 += half_sin_inplace(s2)
+    s1 *= 0.098
     w += s1  # log|oscillate(z)|
     # E: exp(w/2) is finite for every finite z, so the mask leaves exactly 1
     np.multiply(w, 0.5, out=s1)
@@ -62,23 +65,21 @@ def oscillate_skew_inplace(z: np.ndarray, slope: np.ndarray | float) -> np.ndarr
     return z
 
 
-def sin_inplace(x: np.ndarray) -> np.ndarray:
-    """sin x written over the float array x; returns x.
+def half_sin_inplace(h: np.ndarray) -> np.ndarray:
+    """sin(2h) / 2 written over the float array h; returns h.
 
-    Half-angle form (t + t) / (1 + t*t) with t = tan(x/2): numpy runs float64
-    tan through SIMD where the CPU has it and sin through scalar libm, about
-    ten times slower. Against np.sin the error is at most 2**-51 absolute
-    and a few ulp relative away from the zeros of sin; sin 0 is exactly 0.
-    Each element's bits depend on its value alone, not on the array's
-    length, offset or stride.
+    Half-angle form t / (1 + t*t) with t = tan h: numpy runs float64 tan
+    through SIMD where the CPU has it and sin through scalar libm, about ten
+    times slower. Against np.sin, 2*half_sin_inplace(x/2) errs by at most
+    2**-51 absolute and a few ulp relative away from the zeros of sin; the
+    value at 0 is exactly 0. Each element's bits depend on its value alone,
+    not on the array's length, offset or stride.
     """
-    x *= 0.5
-    np.tan(x, out=x)
-    denom = x * x
+    np.tan(h, out=h)
+    denom = h * h
     denom += 1.0
-    x += x
-    x /= denom
-    return x
+    h /= denom
+    return h
 
 
 def skew(z: np.ndarray, beta: float) -> np.ndarray:

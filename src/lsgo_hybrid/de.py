@@ -152,7 +152,7 @@ def de_run(pop: Population, params: DeParams, objective, rng,
         picks = _distinct_indices(u[:, :4], len(pop))
         keep, test = _crossover_masks(u[:, 4:], params.cr)
         pop.offer_batches(
-            picks.tolist(),
+            picks,
             lambda i, j: _trials(pop, picks[i:j], keep[i:j], test[i:j], params, bounds),
             evaluate)
         spent += n

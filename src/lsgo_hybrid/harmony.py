@@ -126,7 +126,7 @@ def harmony_run(memory: Population, params: HarmonyParams, objective, rng,
         picks, rows = _harmony_draws(rng.random((n, 2 + memory.dimension)), hmcr,
                                      params.par, BANDWIDTH_FRACTION, bounds, len(memory))
         memory.offer_batches(
-            [(p,) if p >= 0 else () for p in picks.tolist()],
+            picks[:, None],
             lambda i, j: _harmony_candidates(memory, picks[i:j], rows[i:j], bounds),
             evaluate)
         it += n

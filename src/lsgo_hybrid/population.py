@@ -84,56 +84,52 @@ class Population:
         i = self.best_index
         return Candidate(self.x[i].copy(), float(self.fitness[i]))
 
-    def replace_worst(self, x: np.ndarray, fitness: float) -> int:
-        """Overwrite the worst member and rescan for the new worst."""
-        i = self._worst
-        self.x[i] = x
-        self.fitness[i] = fitness
-        self._worst = int(np.argmax(self.fitness))
-        return i
-
     def offer(self, x: np.ndarray, fitness: float) -> bool:
-        """Accept the candidate only if strictly better than the worst member."""
-        if fitness < self.worst_fitness:
-            self.replace_worst(x, fitness)
+        """Accept the candidate only if strictly better than the worst member:
+        it overwrites that member, and the pool is rescanned for the new worst."""
+        i = self._worst
+        if fitness < self.fitness[i]:
+            self.x[i] = x
+            self.fitness[i] = fitness
+            self._worst = int(self.fitness.argmax())
             return True
         return False
 
-    def offer_batches(self, reads, build, evaluate) -> None:
+    def offer_batches(self, reads: np.ndarray, build, evaluate) -> None:
         """Offer candidates 0..n-1 in order, evaluating them in batches.
 
-        Candidate i reads the pool rows `reads[i]` (a sequence of row
-        indices, empty for one that reads none), `build(start, stop)` returns
+        Candidate i reads the pool rows `reads[i]`, a row of the (n, r) intp
+        array `reads` in which -1 reads no row, `build(start, stop)` returns
         candidates start..stop-1 as the rows of a new array, built from the
         pool rows as they are, and `evaluate` maps such an array to values.
 
         Each batch holds at most `BATCH` candidates. At its start the rows are
         ranked by (fitness descending, index ascending), the order in which
-        `replace_worst` finds the worst, and candidate k of the batch
-        (0-based) joins only if every row it reads has rank >= k. This gives
-        exactly the vectors, values and replacements of building, evaluating
-        and offering one candidate at a time. An accepted offer overwrites
-        the current worst row. Suppose the first j acceptances of the batch
-        overwrote only rows of rank < j. The untouched rows keep their
-        fitness, and their order, so the worst row is an overwritten one or
-        the untouched one of lowest rank, which is at most j as the row of
-        rank j is untouched; so acceptance j + 1 overwrites a row of rank
-        < j + 1, and by induction the first j acceptances overwrite only rows
-        of rank < j. At most k acceptances precede candidate k, so every row
-        it reads still holds its value from the start of the batch, and it
-        is the vector the one-at-a-time loop would build. Nothing is
-        discarded or rebuilt, and every candidate costs one evaluation.
+        `offer` finds the worst, and candidate k of the batch (0-based) joins
+        only if every row it reads has rank >= k. This gives exactly the
+        vectors, values and replacements of building, evaluating and offering
+        one candidate at a time. An accepted offer overwrites the current
+        worst row. Suppose the first j acceptances of the batch overwrote
+        only rows of rank < j. The untouched rows keep their fitness, and
+        their order, so the worst row is an overwritten one or the untouched
+        one of lowest rank, which is at most j as the row of rank j is
+        untouched; so acceptance j + 1 overwrites a row of rank < j + 1, and
+        by induction the first j acceptances overwrite only rows of rank < j.
+        At most k acceptances precede candidate k, so every row it reads
+        still holds its value from the start of the batch, and it is the
+        vector the one-at-a-time loop would build. Nothing is discarded or
+        rebuilt, and every candidate costs one evaluation.
         """
         n = len(reads)
+        # rank[-1], read by -1, is BATCH: no candidate of a batch waits for it
+        rank = np.empty(len(self) + 1, dtype=np.intp)
+        rank[-1] = BATCH
         start = 0
         while start < n:
-            rank = np.empty(len(self), dtype=np.intp)
             rank[np.argsort(-self.fitness, kind="stable")] = np.arange(len(self))
-            rank = rank.tolist()
-            stop = start + 1
-            end = min(n, start + BATCH)
-            while stop < end and all(rank[r] >= stop - start for r in reads[stop]):
-                stop += 1
+            lowest = rank[reads[start : start + BATCH]].min(axis=1)
+            late = np.flatnonzero(lowest < np.arange(len(lowest)))
+            stop = start + (int(late[0]) if late.size else len(lowest))
             x = build(start, stop)
             for row, fitness in zip(x, evaluate(x).tolist()):
                 self.offer(row, fitness)

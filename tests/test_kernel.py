@@ -5,7 +5,8 @@ import pytest
 
 from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
 from lsgo_hybrid.benchmarks.instance import G
-from lsgo_hybrid.benchmarks.transforms import oscillate_skew_inplace, sin_inplace
+from lsgo_hybrid.benchmarks import oscillate
+from lsgo_hybrid.benchmarks.transforms import half_sin_inplace, oscillate_skew_inplace
 
 _CASES = [(fid, dim) for dim in (50, 1000) for fid in FUNCTION_IDS]
 
@@ -94,7 +95,7 @@ def _sin_arguments(n, seed):
 
 
 def _sin_alone(x):
-    return np.array([sin_inplace(np.array([v]))[0] for v in x])
+    return np.array([half_sin_inplace(np.array([v]))[0] for v in x])
 
 
 def test_sine_bits_ignore_length_offset_stride_and_layout():
@@ -107,18 +108,18 @@ def test_sine_bits_ignore_length_offset_stride_and_layout():
     for offset in range(9):
         for n in range(1, 71):
             buf = x.copy()
-            sin_inplace(buf[offset : offset + n])
+            half_sin_inplace(buf[offset : offset + n])
             got = buf[offset : offset + n]
             assert np.array_equal(got, alone[offset : offset + n]), (offset, n)
     wide = _sin_arguments(7 * 70, 1)
     for stride in (2, 3, 7):
         buf = wide.copy()
-        sin_inplace(buf[::stride])
+        half_sin_inplace(buf[::stride])
         assert np.array_equal(buf[::stride], _sin_alone(wide[::stride])), stride
     rows = _sin_arguments(G * 37, 2).reshape(G, 37)
     for col in (0, 5, 36):
         buf = rows.copy()
-        sin_inplace(buf[:, col])
+        half_sin_inplace(buf[:, col])
         assert np.array_equal(buf[:, col], _sin_alone(rows[:, col])), col
 
 
@@ -168,6 +169,80 @@ def test_fused_map_bits_ignore_length_offset_stride_and_layout():
         buf = rows.copy()
         oscillate_skew_inplace(buf[:, cols], row_slope[cols])
         assert np.array_equal(_bits(buf[:, cols]), _bits(expected[:, cols])), cols
+
+
+# Version 0.12.0's bodies of the fused map and its sine: the reference that
+# pins "no number changed" for the passes the map has shed since.
+_SIN_C1 = np.array([5.5, 10.0])
+_SIN_C2 = np.array([3.1, 7.9])
+
+
+def _sin_0_12_0(x):
+    x *= 0.5
+    np.tan(x, out=x)
+    denom = x * x
+    denom += 1.0
+    x += x
+    x /= denom
+    return x
+
+
+def _map_0_12_0(z, slope):
+    zero = z == 0
+    pos = z > 0
+    sign = pos.view(np.uint8)
+    w = np.abs(z)
+    w[zero] = 1.0
+    np.log(w, out=w)
+    s1 = _SIN_C1.take(sign)
+    s1 *= w
+    _sin_0_12_0(s1)
+    s2 = _SIN_C2.take(sign)
+    s2 *= w
+    s1 += _sin_0_12_0(s2)
+    s1 *= 0.049
+    w += s1
+    np.multiply(w, 0.5, out=s1)
+    np.exp(s1, out=s1)
+    s1 *= slope
+    s1 *= pos
+    s1 += 1.0
+    w *= s1
+    np.exp(w, out=w)
+    np.copysign(w, z, out=z)
+    z[zero] = 0.0
+    return z
+
+
+def _pinned_points():
+    rng = np.random.default_rng(1612)
+    edges = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, -1e-300])
+    spread = 10.0 ** rng.uniform(-30, 4, size=4000) * rng.choice([-1.0, 1.0], size=4000)
+    return np.concatenate([edges, spread])
+
+
+def test_fused_map_bits_equal_the_0_12_0_map():
+    z = _pinned_points()
+    slope = 0.2 * np.random.default_rng(16).random(z.size)
+    for s in (slope, 0.0, 0.1):
+        assert np.array_equal(_bits(oscillate_skew_inplace(z.copy(), s)),
+                              _bits(_map_0_12_0(z.copy(), s))), s
+    assert np.array_equal(_bits(oscillate(z)), _bits(_map_0_12_0(z.copy(), 0.0)))
+    rows = np.tile(z[:1000], (3, 3)).reshape(6, 1500)
+    got = rows.copy()
+    oscillate_skew_inplace(got[::2, 1:1500:3], slope[:500])
+    expected = _map_0_12_0(rows[::2, 1:1500:3].copy(), slope[:500])
+    assert np.array_equal(_bits(got[::2, 1:1500:3]), _bits(expected))
+    untouched = np.ones(rows.shape, dtype=bool)
+    untouched[::2, 1:1500:3] = False
+    assert np.array_equal(_bits(got[untouched]), _bits(rows[untouched]))
+
+
+@pytest.mark.parametrize("n,seed", [(70 + 8, 0), (7 * 70, 1), (G * 37, 2)])
+def test_doubled_half_sine_bits_equal_the_0_12_0_sine(n, seed):
+    x = _sin_arguments(n, seed)
+    assert np.array_equal(_bits(2.0 * half_sin_inplace(x / 2.0)),
+                          _bits(_sin_0_12_0(x.copy())))
 
 
 def test_eval_count_counts_rows():
