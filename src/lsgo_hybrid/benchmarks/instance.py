@@ -146,8 +146,8 @@ def _layout(family: str, d: int):
     """Return (list of (start, size), tail (start, size) or None)."""
     if family in ("separable", "nonseparable"):
         return [(0, d)], None
-    if family == "partial_tail":
-        span = int(_TAIL_SPLIT * d + 0.5)
+    if family in ("partial", "partial_tail"):
+        span = d if family == "partial" else int(_TAIL_SPLIT * d + 0.5)
         n = min(len(_CANON), span // _MIN_SIZE)
         if n < 1:
             raise ValueError(f"dimension {d} leaves no room for a rotated block")
@@ -155,28 +155,18 @@ def _layout(family: str, d: int):
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         tail = (span, d - span) if d > span else None
         return list(zip(starts.tolist(), sizes.tolist())), tail
-    if family == "partial":
-        n = min(len(_CANON), d // _MIN_SIZE)
-        sizes = _block_sizes(d, n)
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        return list(zip(starts.tolist(), sizes.tolist())), None
     if family in ("overlap_conforming", "overlap_conflicting"):
         n = min(len(_CANON), max(2, d // _MIN_SIZE))
         overlap = max(1, (d // n) // 10)
         while n > 2 and _MIN_SIZE * n > d + (n - 1) * overlap:
             n -= 1
             overlap = max(1, (d // n) // 10)
+        # the sizes sum to d + (n - 1) * overlap, so the last block ends at d
         sizes = _block_sizes(d + (n - 1) * overlap, n)
         if overlap >= int(sizes.min()):
             raise ValueError("dimension too small for overlapping blocks")
-        subs = []
-        start = 0
-        for s in sizes.tolist():
-            subs.append((start, s))
-            start += s - overlap
-        if subs[-1][0] + subs[-1][1] != d:
-            raise ValueError("overlap layout failed to close on the dimension")
-        return subs, None
+        starts = np.concatenate([[0], np.cumsum(sizes - overlap)[:-1]])
+        return list(zip(starts.tolist(), sizes.tolist())), None
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -260,18 +260,14 @@ def audit_results(runs_path: Path, summary_path: Path):
 
 
 def cmd_stats(args) -> int:
-    if args.fixture and args.input:
-        raise ValueError("give --fixture paper or --input FILE, not both")
-    if args.fixture:
+    if args.input is None:
         matrix = reference_median_matrix()
-    elif args.input:
+    else:
         with open(args.input, newline="", encoding="utf-8") as fh:
             tables = read_results(fh.read(), args.input)
         if "median" not in tables:
             raise ValueError(f"{args.input}: no median rows found")
         matrix = tables["median"]
-    else:
-        raise ValueError("provide --input FILE or --fixture paper")
 
     report = full_report(matrix)
     out = _out_dir(args)
@@ -357,9 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(handler=cmd_run)
 
     p_stats = sub.add_parser("stats", help="ranking and omnibus tests")
-    p_stats.add_argument("--input", help="median matrix CSV")
-    p_stats.add_argument("--fixture", choices=["paper"],
-                         help="use the bundled published-results table")
+    p_stats.add_argument("--input",
+                         help="median matrix CSV (default: the bundled published table)")
     p_stats.add_argument("--out")
     p_stats.set_defaults(handler=cmd_stats)
 

@@ -88,7 +88,6 @@ class RunResult:
     final_best: Candidate
     fe_consumed: int
     wall_time_s: float
-    initial_best: float
     trace: list[float]
 
 
@@ -109,8 +108,7 @@ def run(instance: BenchmarkInstance, config: HybridConfig,
         config.population_size, instance.dimension, instance.bounds, rng, instance,
     )
     spent = config.population_size
-    initial_best = pool.best_fitness
-    trace = [initial_best]
+    trace = [pool.best_fitness]
 
     harmony_share = config.harmony.max_iterations
     de_share = config.per_cycle - harmony_share
@@ -143,7 +141,6 @@ def run(instance: BenchmarkInstance, config: HybridConfig,
         final_best=pool.best(),
         fe_consumed=spent,
         wall_time_s=time.perf_counter() - t0,
-        initial_best=initial_best,
         trace=trace,
     )
 

@@ -6,7 +6,7 @@ from .fixture import (
     reference_median_matrix,
     reference_values,
 )
-from .nonparametric import FriedmanResult, QuadeResult, friedman, quade
+from .nonparametric import friedman, quade
 from .ranking import (
     DEFAULT_GROUPS,
     F1_POINTS,
@@ -25,8 +25,6 @@ __all__ = [
     "read_results",
     "reference_median_matrix",
     "reference_values",
-    "FriedmanResult",
-    "QuadeResult",
     "friedman",
     "quade",
     "DEFAULT_GROUPS",

@@ -11,34 +11,14 @@ average rank W_j / (n(n+1)/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ranking import MedianMatrix, rank_column, rank_matrix
 from .special import chi2_sf, f_sf
 
 
-@dataclass
-class FriedmanResult:
-    statistic: float              # tie-corrected chi-square
-    statistic_uncorrected: float  # plain chi-square from the mean ranks
-    p_value: float                # from the tie-corrected statistic
-    dof: int
-    mean_ranks: np.ndarray        # average rank per algorithm
-
-
-@dataclass
-class QuadeResult:
-    statistic: float
-    p_value: float
-    dof: tuple[int, int]
-    weighted_ranks: np.ndarray    # weighted average rank per algorithm
-    function_weights: np.ndarray  # rank of each function's sample range
-
-
-def friedman(matrix: MedianMatrix) -> FriedmanResult:
-    """Friedman test; returns both the tie-corrected and plain statistics."""
+def friedman(matrix: MedianMatrix) -> dict:
+    """Friedman test as a plain dict, with tie-corrected and plain statistics."""
     ranks = rank_matrix(matrix, "average")
     k = len(matrix.algorithms)
     n = len(matrix.functions)
@@ -55,19 +35,21 @@ def friedman(matrix: MedianMatrix) -> FriedmanResult:
     correction = 1.0 - tie_sum / (n * k * (k * k - 1))
     if correction <= 0.0:
         # every column fully tied: no evidence of any difference
-        return FriedmanResult(0.0, 0.0, 1.0, k - 1, mean_ranks)
-    chi_corrected = chi_plain / correction
-    return FriedmanResult(
-        statistic=float(chi_corrected),
-        statistic_uncorrected=float(chi_plain),
-        p_value=chi2_sf(float(chi_corrected), k - 1),
-        dof=k - 1,
-        mean_ranks=mean_ranks,
-    )
+        chi_plain, chi_corrected, p_value = 0.0, 0.0, 1.0
+    else:
+        chi_corrected = float(chi_plain / correction)
+        p_value = chi2_sf(chi_corrected, k - 1)
+    return {
+        "mean_ranks": mean_ranks.tolist(),
+        "statistic": chi_corrected,
+        "statistic_uncorrected": float(chi_plain),
+        "p_value": p_value,
+        "dof": k - 1,
+    }
 
 
-def quade(matrix: MedianMatrix) -> QuadeResult:
-    """Quade test: functions weighted by the rank of their sample range."""
+def quade(matrix: MedianMatrix) -> dict:
+    """Quade test as a plain dict: functions weighted by their range's rank."""
     ranks = rank_matrix(matrix, "average")
     k = len(matrix.algorithms)
     n = len(matrix.functions)
@@ -86,10 +68,17 @@ def quade(matrix: MedianMatrix) -> QuadeResult:
     w_j = (ranks * q[np.newaxis, :]).sum(axis=1)
     weighted_ranks = w_j / (n * (n + 1) / 2.0)
 
-    dof = (k - 1, (k - 1) * (n - 1))
+    dof = [k - 1, (k - 1) * (n - 1)]
     if a <= b:
         # perfect agreement across functions: the statistic diverges
-        return QuadeResult(float("inf"), 0.0, dof, weighted_ranks, q)
-    stat = (n - 1.0) * b / (a - b)
-    return QuadeResult(float(stat), f_sf(float(stat), *dof), dof,
-                       weighted_ranks, q)
+        stat, p_value = float("inf"), 0.0
+    else:
+        stat = (n - 1.0) * b / (a - b)
+        p_value = f_sf(stat, *dof)
+    return {
+        "weighted_ranks": weighted_ranks.tolist(),
+        "statistic": stat,
+        "p_value": p_value,
+        "dof": dof,
+        "function_weights": q.tolist(),
+    }

@@ -27,29 +27,14 @@ def full_report(matrix: MedianMatrix) -> dict:
     groups = tuple(trimmed for g in DEFAULT_GROUPS
                    if (trimmed := tuple(f for f in g if f in present)))
     comp = rank_matrix(matrix, "competition").astype(int)
-    counts = nbest(comp)
-    fr = friedman(matrix)
-    qu = quade(matrix)
     scores, group_ranks = f1_scores(comp, matrix.functions, groups)
     return {
         "algorithms": list(matrix.algorithms),
         "functions": list(matrix.functions),
         "competition_ranks": comp.tolist(),
-        "nbest": counts.tolist(),
-        "friedman": {
-            "mean_ranks": fr.mean_ranks.tolist(),
-            "statistic": fr.statistic,
-            "statistic_uncorrected": fr.statistic_uncorrected,
-            "p_value": fr.p_value,
-            "dof": fr.dof,
-        },
-        "quade": {
-            "weighted_ranks": qu.weighted_ranks.tolist(),
-            "statistic": qu.statistic,
-            "p_value": qu.p_value,
-            "dof": list(qu.dof),
-            "function_weights": qu.function_weights.tolist(),
-        },
+        "nbest": nbest(comp).tolist(),
+        "friedman": friedman(matrix),
+        "quade": quade(matrix),
         "groups": [list(g) for g in groups],
         "group_scores": scores.tolist(),
         "group_ranks": group_ranks.tolist(),

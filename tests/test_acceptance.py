@@ -205,7 +205,7 @@ def test_criterion_5_reduced_budget_convergence():
             assert np.all(np.diff(trace) <= 0), "trace must never worsen"
             assert r.fe_consumed == 150_000
 
-        median_initial = statistics.median(r.initial_best for r in results)
+        median_initial = statistics.median(r.trace[0] for r in results)
         median_final = statistics.median(
             r.final_best.fitness for r in results)
         assert median_final * 1e4 <= median_initial, (

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from lsgo_hybrid.cli import (
 
 TINY_RUN = ["run", "--dim", "10", "--runs", "2", "--seed", "3",
             "--budget-scale", "0.002", "--parallel", "1"]
+REPORT_FILES = ("ranks.csv", "tests.csv", "scores.csv", "report.json", "report.txt")
 
 
 def test_parse_function_list_forms():
@@ -184,23 +186,19 @@ def test_run_rejects_bad_params_source(tmp_path, capsys):
     assert "unknown --params source" in capsys.readouterr().err
 
 
-def test_stats_fixture_f1_mode(tmp_path):
+def test_stats_bundled_table_scores_imhs_first(tmp_path):
     out = tmp_path / "stats"
-    assert main(["stats", "--fixture", "paper", "--out", str(out)]) == 0
-    assert (out / "scores.csv").exists()
-    assert (out / "report.json").exists()
-    assert (out / "report.txt").exists()
+    assert main(["stats", "--out", str(out)]) == 0
     rows = _read(out / "scores.csv")
     assert rows[0][:3] == ["algorithm", "S1", "R1"]
     imhs = next(r for r in rows if r[0] == "IMHS+MDE")
     assert imhs[1] == "1"
 
 
-def test_stats_all_mode_writes_every_table(tmp_path):
+def test_stats_writes_every_table(tmp_path):
     out = tmp_path / "statsall"
-    assert main(["stats", "--fixture", "paper", "--out", str(out)]) == 0
-    for name in ("ranks.csv", "tests.csv", "scores.csv", "report.json",
-                 "report.txt"):
+    assert main(["stats", "--out", str(out)]) == 0
+    for name in REPORT_FILES:
         assert (out / name).exists()
     report = json.loads((out / "report.json").read_text())
     assert len(report["algorithms"]) == 11
@@ -257,20 +255,21 @@ def test_stats_empty_input_fails(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
-def test_stats_requires_a_source(tmp_path, capsys):
-    assert main(["stats", "--out", str(tmp_path / "o3")]) == 1
-    assert "provide" in capsys.readouterr().err
+def test_stats_without_input_ranks_the_bundled_table(tmp_path):
+    bundled = files("lsgo_hybrid.data") / "reference_results.csv"
+    assert main(["stats", "--out", str(tmp_path / "default")]) == 0
+    assert main(["stats", "--input", str(bundled),
+                 "--out", str(tmp_path / "input")]) == 0
+    for name in REPORT_FILES:
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "input" / name).read_bytes()), name
 
 
-def test_stats_refuses_both_sources(tmp_path, capsys):
-    src = tmp_path / "medians.csv"
-    src.write_text("algorithm,F1\nalpha,1.0\nbeta,2.0\n")
-    out = tmp_path / "o4"
-    assert main(["stats", "--fixture", "paper", "--input", str(src),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "--fixture" in err and "--input" in err
-    assert not (out / "report.json").exists()
+def test_stats_has_no_fixture_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--fixture", "paper", "--out", str(tmp_path / "o4")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fixture" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, where", [
@@ -471,5 +470,5 @@ def test_runs_csv_keeps_finished_functions_when_a_later_one_fails(tmp_path, monk
 def test_out_dir_env_variable(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv(OUT_DIR_ENV, str(target))
-    assert main(["stats", "--fixture", "paper"]) == 0
+    assert main(["stats"]) == 0
     assert (target / "ranks.csv").exists()

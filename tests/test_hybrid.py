@@ -6,6 +6,7 @@ from lsgo_hybrid.de import DeParams
 from lsgo_hybrid.harmony import HarmonyParams
 from lsgo_hybrid.hybrid import (
     HybridConfig,
+    _rng_for,
     fe_budget,
     final_stats,
     run,
@@ -118,9 +119,14 @@ def test_checkpoint_values_non_increasing():
 
 
 def test_trace_is_monotone_non_increasing():
-    result = run(make_instance("F2", 10, 3), _tiny(outer=6, checkpoints=()))
+    inst = make_instance("F2", 10, 3)
+    config = _tiny(outer=6, checkpoints=())
+    result = run(inst, config)
     assert all(b <= a for a, b in zip(result.trace, result.trace[1:]))
-    assert result.trace[0] == result.initial_best
+    # the trace opens with the best of the seeded initial pool
+    pool = Population.random_uniform(config.population_size, inst.dimension,
+                                     inst.bounds, _rng_for(config.seed, 0), inst)
+    assert result.trace[0] == pool.best_fitness
 
 
 def test_same_seed_and_index_bit_identical():

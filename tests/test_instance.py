@@ -483,6 +483,34 @@ def test_min_block_size_holds_everywhere():
                 assert covered == d
 
 
+@pytest.mark.parametrize("family", sorted(
+    {instance_mod._FUNCTIONS[fid].family for fid in FUNCTION_IDS}))
+def test_layout_tiles_every_dimension(family):
+    for d in range(instance_mod.MIN_DIMENSION, 5001):
+        blocks, tail = instance_mod._layout(family, d)
+        starts = [start for start, _size in blocks]
+        sizes = [size for _start, size in blocks]
+        assert starts[0] == 0, (family, d)
+        if len(blocks) > 1:
+            assert min(sizes) >= instance_mod._MIN_SIZE, (family, d)
+        if family.startswith("overlap"):
+            assert tail is None
+            overlap = sizes[0] - starts[1]
+            assert 1 <= overlap < min(sizes), (family, d)
+            steps = [b - a for a, b in zip(starts, starts[1:])]
+            assert steps == [s - overlap for s in sizes[:-1]], (family, d)
+            assert starts[-1] + sizes[-1] == d, (family, d)
+            continue
+        ends = [a + s for a, s in zip(starts, sizes)]
+        assert starts[1:] == ends[:-1], (family, d)
+        if family == "partial_tail":
+            assert tail is not None and tail[0] == ends[-1], (family, d)
+            ends.append(tail[0] + tail[1])
+        else:
+            assert tail is None
+        assert ends[-1] == d, (family, d)
+
+
 def test_bounds_follow_the_base_function():
     assert make_instance("F1", 50, 0).bounds == (-100.0, 100.0)
     assert make_instance("F2", 50, 0).bounds == (-5.0, 5.0)

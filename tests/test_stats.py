@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
+from lsgo_hybrid.hybrid import final_stats
 from lsgo_hybrid.stats import fixture
 from lsgo_hybrid.stats import (
     DEFAULT_GROUPS,
+    METRICS,
     MedianMatrix,
     beta_inc,
     chi2_sf,
@@ -195,9 +199,9 @@ def test_friedman_matches_scipy_without_ties():
                           [f"F{j}" for j in range(9)], values)
     ours = friedman(matrix)
     ref_stat, ref_p = scipy.stats.friedmanchisquare(*values)
-    assert ours.statistic == pytest.approx(float(ref_stat), rel=1e-10)
-    assert ours.p_value == pytest.approx(float(ref_p), rel=1e-10)
-    assert ours.statistic == pytest.approx(ours.statistic_uncorrected, rel=1e-12)
+    assert ours["statistic"] == pytest.approx(float(ref_stat), rel=1e-10)
+    assert ours["p_value"] == pytest.approx(float(ref_p), rel=1e-10)
+    assert ours["statistic"] == pytest.approx(ours["statistic_uncorrected"], rel=1e-12)
 
 
 def test_friedman_matches_scipy_with_ties():
@@ -205,9 +209,9 @@ def test_friedman_matches_scipy_with_ties():
     ours = friedman(matrix)
     ref_stat, ref_p = scipy.stats.friedmanchisquare(*matrix.values)
     # scipy applies the same tie correction
-    assert ours.statistic == pytest.approx(float(ref_stat), rel=1e-10)
-    assert ours.p_value == pytest.approx(float(ref_p), rel=1e-10)
-    assert ours.statistic_uncorrected < ours.statistic
+    assert ours["statistic"] == pytest.approx(float(ref_stat), rel=1e-10)
+    assert ours["p_value"] == pytest.approx(float(ref_p), rel=1e-10)
+    assert ours["statistic_uncorrected"] < ours["statistic"]
 
 
 def test_friedman_dominance_gives_exact_mean_rank_one():
@@ -215,9 +219,9 @@ def test_friedman_dominance_gives_exact_mean_rank_one():
     matrix = MedianMatrix(["win", "mid", "lose"], [f"F{j}" for j in range(5)],
                           values)
     result = friedman(matrix)
-    assert result.mean_ranks[0] == 1.0
-    assert result.mean_ranks[2] == 3.0
-    assert result.dof == 2
+    assert result["mean_ranks"][0] == 1.0
+    assert result["mean_ranks"][2] == 3.0
+    assert result["dof"] == 2
 
 
 def test_friedman_rejects_degenerate_input():
@@ -234,19 +238,19 @@ def test_quade_dominance_gives_exact_weighted_rank_one():
     matrix = MedianMatrix(["win", "mid", "lose"], [f"F{j}" for j in range(5)],
                           values)
     result = quade(matrix)
-    assert result.weighted_ranks[0] == 1.0
-    assert result.weighted_ranks[2] == 3.0
-    assert result.dof == (2, 8)
+    assert result["weighted_ranks"][0] == 1.0
+    assert result["weighted_ranks"][2] == 3.0
+    assert result["dof"] == [2, 8]
 
 
 def test_quade_weighted_ranks_bounded():
     matrix = reference_median_matrix()
     result = quade(matrix)
     k = len(matrix.algorithms)
-    assert np.all(result.weighted_ranks >= 1.0)
-    assert np.all(result.weighted_ranks <= k)
+    assert min(result["weighted_ranks"]) >= 1.0
+    assert max(result["weighted_ranks"]) <= k
     # function weights are average-tie ranks of the 15 ranges
-    assert sorted(result.function_weights) == list(range(1, 16))
+    assert sorted(result["function_weights"]) == list(range(1, 16))
 
 
 def test_quade_rejects_degenerate_input():
@@ -340,9 +344,15 @@ def test_bundled_table_checks_its_sha256(bundled):
 def test_full_report_is_json_serialisable():
     import json
 
-    report = full_report(reference_median_matrix())
-    dumped = json.dumps(report)
-    assert "competition_ranks" in dumped
+    bundled = reference_median_matrix()
+    ties = MedianMatrix(["a", "b", "c"], ["F1", "F2", "F3"], np.ones((3, 3)))
+    for matrix in (bundled, ties):
+        report = full_report(matrix)
+        assert json.loads(json.dumps(report)) == report
+    # the all-ties matrix takes both early returns
+    assert (report["friedman"]["statistic"], report["friedman"]["p_value"]) == (0.0, 1.0)
+    assert report["quade"]["statistic"] == float("inf")
+    assert report["quade"]["p_value"] == 0.0
 
 
 def test_full_report_trims_the_default_groups_to_the_matrix():
@@ -355,6 +365,22 @@ def test_full_report_trims_the_default_groups_to_the_matrix():
     assert len(report["group_scores"][0]) == 2
     other = MedianMatrix(["a", "b"], ["G1", "G2"], [[1.0, 2.0], [2.0, 1.0]])
     assert full_report(other)["groups"] == []
+
+
+def test_metrics_follow_final_stats():
+    # cmd_run writes summary.csv in METRICS order, and the audit reads it back
+    assert METRICS == tuple(final_stats([1.0, 2.0]))
+
+
+def test_default_groups_are_the_function_table_categories_in_order():
+    def category(fid):
+        family = make_instance(fid, 10, 0).family
+        return "overlap" if family.startswith("overlap_") else family
+
+    runs = itertools.groupby(FUNCTION_IDS, key=category)
+    names, groups = zip(*((name, tuple(ids)) for name, ids in runs))
+    assert names == ("separable", "partial_tail", "partial", "overlap", "nonseparable")
+    assert groups == DEFAULT_GROUPS
 
 
 def test_median_matrix_rejects_bad_shapes_and_values():
