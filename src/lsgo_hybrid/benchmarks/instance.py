@@ -29,12 +29,19 @@ the elliptic base the value is a single row sum of z*z times one vector
 that folds each block's weight, its elliptic weights and its squared
 conditioning weights. `evaluate(x)` is
 the one-row case, so a lone evaluation gives the same bits as that row of
-any batch: the rotation product always has G columns, and a column of it
-depends neither on its position nor on the other columns (a test checks
-this for every rotated block size, as a BLAS could break it; Y @ R.T is
-not invariant at one BLAS thread), and the maps and row reductions treat
-each row alone. Every step after the gather writes into the call's own
-buffers, and nothing is stored on the instance between calls.
+any batch. The rotation product has one of two widths: a group of at most
+G // 2 rows multiplies a rotation of at least `_HALF_WIDTH_ROWS` (256) rows
+by the buffer's first G // 2 rows, and every other group and block takes
+all G rows. A column of the product depends neither on its position nor on
+the other columns, nor, from 256 rows up, on which width it was computed
+at (tests check the first for every rotated block size and the second for
+every one of 256 rows or more, as a BLAS could break them; Y @ R.T is not
+invariant at one BLAS thread). The threshold exists because smaller
+blocks, such as the 91- to 100-row blocks, run OpenBLAS's small-matrix
+kernel, whose columns change bits between the two widths. The maps and row
+reductions treat each row alone. Every step after the gather writes into
+the call's own buffers, and nothing is stored on the instance between
+calls.
 """
 
 from __future__ import annotations
@@ -56,8 +63,13 @@ from .transforms import (
 
 _DESCRIPTOR_FORMAT = "lsgo-hybrid-instance/1"
 
-# Rows per evaluation group; every rotation product has exactly G columns.
+# Rows per evaluation group; a rotation product has G or G // 2 columns.
 G = 16
+
+# Rotations of at least this many rows multiply a group of m <= G // 2 rows
+# by G // 2 columns, where a column has the same bits at either width; below
+# about 150 rows OpenBLAS's small-matrix kernel changes them.
+_HALF_WIDTH_ROWS = 256
 
 # Canonical block-size proportions; literal sizes at dimension 1000 for the
 # tailed family (550 non-separable coordinates plus a 450-coordinate tail).
@@ -341,7 +353,8 @@ class BenchmarkInstance:
             np.take(x, self._gather, axis=1, out=z, mode="clip")
         z -= self._shift
         for a, b, rotation in self._rotations:
-            z[:, a:b] = (rotation @ padded[:, a:b].T)[:, :m].T
+            y = padded[: G // 2] if m <= G // 2 and b - a >= _HALF_WIDTH_ROWS else padded
+            z[:, a:b] = (rotation @ y[:, a:b].T)[:, :m].T
         if self._slope is not None:
             oscillate_skew_inplace(z, self._slope)
         if self._row_weights is not None:

@@ -155,12 +155,15 @@ def test_run_batch_parallel_matches_serial():
     assert sum_serial == sum_parallel
 
 
-def test_run_batch_on_rotated_blocks_parallel_matches_serial():
-    # F4 has rotated blocks plus a separable tail; the workers evaluate
-    # through the read-only rotations of an unpickled instance
+@pytest.mark.parametrize("fid,dim", [("F4", 50), ("F15", 1000)])
+def test_run_batch_on_rotated_blocks_parallel_matches_serial(fid, dim):
+    # F4 has rotated blocks plus a separable tail, F15 one 1000-row block, a
+    # size at which OpenBLAS runs threads and short groups take a half-width
+    # product; the workers evaluate through the read-only rotations of an
+    # unpickled instance
     config = _tiny(seed=2)
-    serial, sum_serial = run_batch(("F4", 50, 1), config, n_runs=3, workers=1)
-    parallel, sum_parallel = run_batch(("F4", 50, 1), config, n_runs=3, workers=2)
+    serial, sum_serial = run_batch((fid, dim, 1), config, n_runs=3, workers=1)
+    parallel, sum_parallel = run_batch((fid, dim, 1), config, n_runs=3, workers=2)
     for a, b in zip(serial, parallel):
         assert a.final_best.fitness == b.final_best.fitness
         assert np.array_equal(a.final_best.x, b.final_best.x)
