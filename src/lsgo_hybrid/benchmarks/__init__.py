@@ -1,6 +1,6 @@
 """Scalable benchmark family: base functions, transforms, seeded instances."""
 
-from .functions import BASE_FUNCTIONS, BOUNDS, eval_base
+from .functions import BOUNDS
 from .instance import (
     FUNCTION_IDS,
     BenchmarkInstance,
@@ -16,9 +16,7 @@ from .transforms import (
 )
 
 __all__ = [
-    "BASE_FUNCTIONS",
     "BOUNDS",
-    "eval_base",
     "FUNCTION_IDS",
     "BenchmarkInstance",
     "from_descriptor",

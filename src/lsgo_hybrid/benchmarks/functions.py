@@ -13,23 +13,12 @@ import numpy as np
 
 # Symmetric box half-width per base function.
 BOUNDS = {
-    "sphere": 100.0,
     "elliptic": 100.0,
     "rastrigin": 5.0,
     "ackley": 32.0,
     "schwefel_12": 100.0,
     "rosenbrock": 100.0,
 }
-
-BASE_FUNCTIONS = tuple(BOUNDS)
-
-# Bases whose prefix-sum / chain structure needs at least two coordinates.
-_MIN_LEN_2 = ("schwefel_12", "rosenbrock")
-
-
-def sphere(z: np.ndarray):
-    return (z * z).sum(axis=-1)
-
 
 def elliptic(z: np.ndarray):
     """Weighted sphere with condition number 1e6 across coordinates."""
@@ -67,7 +56,6 @@ def rosenbrock(z: np.ndarray):
 
 
 _DISPATCH = {
-    "sphere": sphere,
     "elliptic": elliptic,
     "rastrigin": rastrigin,
     "ackley": ackley,
@@ -75,24 +63,3 @@ _DISPATCH = {
     "rosenbrock": rosenbrock,
 }
 
-
-def eval_base(name: str, z: np.ndarray) -> float:
-    """Evaluate base function `name` at z.
-
-    Raises ValueError for an unknown name, a non-finite input, or a vector
-    shorter than 2 for the chain-structured bases.
-    """
-    try:
-        fn = _DISPATCH[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown base function {name!r}; expected one of {sorted(_DISPATCH)}"
-        ) from None
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("non-finite coordinate in input vector")
-    if name in _MIN_LEN_2 and z.size < 2:
-        raise ValueError(f"{name} needs at least 2 coordinates, got {z.size}")
-    return float(fn(z))

@@ -28,7 +28,14 @@ from .benchmarks.instance import MIN_DIMENSION
 from .hybrid import HybridConfig, fe_budget, final_stats, run_batch, scaled
 from .stats.fixture import METRICS, read_results, reference_median_matrix
 from .stats.report import format_text, full_report, write_report
-from .tuning import ParamVector, TunerConfig, hybrid_config_for, load_specialist_params, tune
+from .tuning import (
+    ParamVector,
+    TunerConfig,
+    hybrid_config_for,
+    load_specialist_params,
+    read_param_vector,
+    tune,
+)
 
 OUT_DIR_ENV = "LSGO_HYBRID_OUT"
 _DEFAULT_OUT = "lsgo_hybrid_out"
@@ -81,24 +88,14 @@ def _resolve_params(source: str, function_id: str, dimension: int) -> ParamVecto
                 payload = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"tuned file {path} is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValueError(f"tuned file {path} must hold a JSON object, "
-                             f"not a {type(payload).__name__}")
+        params = read_param_vector(payload, f"tuned file {path}")
         for key, value in (("function_id", function_id), ("dimension", dimension)):
             if key in payload and payload[key] != value:
                 raise ValueError(
                     f"tuned file {path} has {key} {payload[key]!r}, "
                     f"but the run uses {key} {value!r}"
                 )
-        values = {}
-        for key in ("par", "cr", "f"):
-            if key not in payload:
-                raise ValueError(f"tuned file {path} has no {key} field")
-            value = payload[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"tuned file {path} has non-numeric {key} {value!r}")
-            values[key] = float(value)
-        return ParamVector(**values)
+        return params
     if source.startswith("explicit:"):
         parts = source[len("explicit:"):].split(",")
         if len(parts) != 3:

@@ -182,6 +182,9 @@ def run_batch(instance_spec, config: HybridConfig, n_runs: int, workers: int = 1
         fid, dim, iseed = instance_spec
         proto = make_instance(fid, dim, iseed)
     tasks = [(proto, config, i) for i in range(n_runs)]
+    # a forking pool starts all its workers at the first submit, so never
+    # ask for more than there are runs
+    workers = min(workers, n_runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_worker, tasks))

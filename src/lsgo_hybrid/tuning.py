@@ -10,7 +10,7 @@ against freshly generated instances.
 
 from __future__ import annotations
 
-import configparser
+import json
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -30,7 +30,7 @@ _MUTATION_SIGMA_FRACTION = 0.05
 _TOURNAMENT_SIZE = 2
 
 _DATA_PACKAGE = "lsgo_hybrid.data"
-_PARAMS_FILE = "specialist_params.ini"
+_PARAMS_FILE = "specialist_params.json"
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,30 @@ class TunerConfig:
             )
 
 
+def read_param_vector(payload, where: str) -> ParamVector:
+    """The triple of a JSON object read from a file; `where` names the file
+    in the error raised for a non-object or a missing or non-numeric field."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must hold a JSON object, "
+                         f"not a {type(payload).__name__}")
+    values = {}
+    for key in ("par", "cr", "f"):
+        if key not in payload:
+            raise ValueError(f"{where} has no {key} field")
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{where} has non-numeric {key} {value!r}")
+        values[key] = float(value)
+    return ParamVector(**values)
+
+
 def load_specialist_params(function_id: str) -> ParamVector:
     """Bundled tuned triple for one benchmark function."""
-    parser = configparser.ConfigParser()
     text = resources.files(_DATA_PACKAGE).joinpath(_PARAMS_FILE).read_text("utf-8")
-    parser.read_string(text)
-    if not parser.has_section(function_id):
-        raise KeyError(
-            f"no tuned parameters for {function_id!r}; have {parser.sections()}"
-        )
-    section = parser[function_id]
-    return ParamVector(
-        par=section.getfloat("par"),
-        cr=section.getfloat("cr"),
-        f=section.getfloat("f"),
-    )
+    table = json.loads(text)
+    if function_id not in table:
+        raise KeyError(f"no tuned parameters for {function_id!r}; have {list(table)}")
+    return read_param_vector(table[function_id], f"{_PARAMS_FILE} entry {function_id}")
 
 
 def probe_config(params: ParamVector, inner_budget: int,

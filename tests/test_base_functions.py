@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from lsgo_hybrid.benchmarks import BASE_FUNCTIONS, BOUNDS, eval_base
-from lsgo_hybrid.benchmarks.functions import elliptic_weights
+from lsgo_hybrid.benchmarks import BOUNDS
+from lsgo_hybrid.benchmarks.functions import (
+    _DISPATCH,
+    ackley,
+    elliptic,
+    elliptic_weights,
+    rastrigin,
+    rosenbrock,
+    schwefel_12,
+)
+from lsgo_hybrid.benchmarks.instance import _FUNCTIONS
 
 
-def test_sphere_hand_values():
-    assert eval_base("sphere", [1.0, 2.0, 3.0]) == 14.0
-    assert eval_base("sphere", [0.0, 0.0]) == 0.0
+def _at(fn, z):
+    return float(fn(np.asarray(z, dtype=float)))
 
 
 def test_elliptic_weights_span_condition_number():
@@ -21,18 +29,18 @@ def test_elliptic_weights_span_condition_number():
 
 def test_elliptic_hand_value():
     # D=3 weights are 1, 1e3, 1e6
-    assert eval_base("elliptic", [1.0, 1.0, 1.0]) == pytest.approx(1001001.0)
-    assert eval_base("elliptic", [2.0, 0.0, 0.0]) == pytest.approx(4.0)
+    assert _at(elliptic, [1.0, 1.0, 1.0]) == pytest.approx(1001001.0)
+    assert _at(elliptic, [2.0, 0.0, 0.0]) == pytest.approx(4.0)
 
 
 def test_rastrigin_hand_values():
-    assert eval_base("rastrigin", np.zeros(4)) == 0.0
+    assert _at(rastrigin, np.zeros(4)) == 0.0
     # cos(2*pi) = 1 so each unit coordinate contributes exactly 1
-    assert eval_base("rastrigin", [1.0, 1.0]) == pytest.approx(2.0)
+    assert _at(rastrigin, [1.0, 1.0]) == pytest.approx(2.0)
 
 
 def test_ackley_zero_at_origin():
-    assert eval_base("ackley", np.zeros(10)) == pytest.approx(0.0, abs=1e-12)
+    assert _at(ackley, np.zeros(10)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ackley_positive_away_from_origin():
@@ -40,48 +48,31 @@ def test_ackley_positive_away_from_origin():
     for _ in range(20):
         z = rng.uniform(-32, 32, size=8)
         if np.linalg.norm(z) > 1e-9:
-            assert eval_base("ackley", z) > 0.0
+            assert _at(ackley, z) > 0.0
 
 
 def test_schwefel_prefix_sums():
     # prefix sums of (1,1,1) are (1,2,3)
-    assert eval_base("schwefel_12", [1.0, 1.0, 1.0]) == pytest.approx(14.0)
-    assert eval_base("schwefel_12", [2.0, -1.0]) == pytest.approx(5.0)
+    assert _at(schwefel_12, [1.0, 1.0, 1.0]) == pytest.approx(14.0)
+    assert _at(schwefel_12, [2.0, -1.0]) == pytest.approx(5.0)
 
 
 def test_rosenbrock_chain():
-    assert eval_base("rosenbrock", np.ones(6)) == 0.0
-    assert eval_base("rosenbrock", [0.0, 0.0]) == pytest.approx(1.0)
-    assert eval_base("rosenbrock", [1.0, 2.0, 3.0]) == pytest.approx(201.0)
+    assert _at(rosenbrock, np.ones(6)) == 0.0
+    assert _at(rosenbrock, [0.0, 0.0]) == pytest.approx(1.0)
+    assert _at(rosenbrock, [1.0, 2.0, 3.0]) == pytest.approx(201.0)
 
 
 def test_all_bases_nonnegative_on_random_points():
     rng = np.random.default_rng(1)
-    for name in BASE_FUNCTIONS:
+    for name, fn in _DISPATCH.items():
         half = BOUNDS[name]
         for _ in range(10):
             z = rng.uniform(-half, half, size=6)
-            assert eval_base(name, z) >= 0.0
+            assert _at(fn, z) >= 0.0
 
 
-def test_unknown_base_rejected():
-    with pytest.raises(ValueError, match="unknown base function"):
-        eval_base("griewank", [1.0, 2.0])
-
-
-def test_non_finite_rejected():
-    with pytest.raises(ValueError, match="non-finite"):
-        eval_base("sphere", [1.0, np.nan])
-    with pytest.raises(ValueError, match="non-finite"):
-        eval_base("sphere", [np.inf, 0.0])
-
-
-def test_non_vector_rejected():
-    with pytest.raises(ValueError, match="1-d"):
-        eval_base("sphere", np.ones((2, 2)))
-
-
-def test_chain_bases_need_two_coordinates():
-    for name in ("schwefel_12", "rosenbrock"):
-        with pytest.raises(ValueError, match="at least 2"):
-            eval_base(name, [1.0])
+def test_every_base_is_used_by_a_function_id():
+    used = {spec.base for spec in _FUNCTIONS.values()}
+    assert set(BOUNDS) <= used
+    assert set(_DISPATCH) <= used

@@ -182,6 +182,36 @@ def test_run_batch_accepts_prebuilt_instance():
     assert inst.eval_count == 0
 
 
+def test_run_batch_asks_for_at_most_one_worker_per_run(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("lsgo_hybrid.hybrid.ProcessPoolExecutor", InlinePool)
+    config = _tiny(seed=5)
+    serial, _ = run_batch(("F1", 10, 3), config, n_runs=3, workers=1)
+    pooled, _ = run_batch(("F1", 10, 3), config, n_runs=3, workers=64)
+    assert pools == [3]
+    # a single run takes the in-process path
+    lone, _ = run_batch(("F1", 10, 3), config, n_runs=1, workers=64)
+    assert pools == [3]
+    assert [r.final_best.fitness for r in pooled] == [
+        r.final_best.fitness for r in serial
+    ]
+    assert lone[0].final_best.fitness == serial[0].final_best.fitness
+
+
 def test_summary_order_statistics():
     s = final_stats([2.0, 8.0, 5.0])
     assert s["best"] == 2.0

@@ -1,7 +1,10 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from lsgo_hybrid.benchmarks import make_instance
+from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
 from lsgo_hybrid.hybrid import HybridConfig, fe_budget, run
 from lsgo_hybrid.tuning import (
     PARAM_BOUNDS,
@@ -10,6 +13,7 @@ from lsgo_hybrid.tuning import (
     hybrid_config_for,
     load_specialist_params,
     probe_config,
+    read_param_vector,
     tune,
 )
 
@@ -51,6 +55,30 @@ def test_all_specialist_triples_match_the_published_table():
 def test_unknown_function_rejected():
     with pytest.raises(KeyError):
         load_specialist_params("F16")
+
+
+def test_bundled_table_holds_one_triple_per_function_id():
+    text = resources.files("lsgo_hybrid.data").joinpath(
+        "specialist_params.json").read_text("utf-8")
+    table = json.loads(text)
+    assert tuple(table) == FUNCTION_IDS
+    for fid, entry in table.items():
+        assert set(entry) == {"par", "cr", "f"}, fid
+
+
+def test_read_param_vector_checks_each_field():
+    got = read_param_vector({"par": 0, "cr": 1, "f": 0.5, "note": "x"}, "p")
+    assert got == ParamVector(par=0.0, cr=1.0, f=0.5)
+    assert isinstance(got.par, float)
+    for payload, message in [
+        ([0.3, 0.9, 0.5], "p must hold a JSON object, not a list"),
+        ({"par": 0.3, "f": 0.5}, "p has no cr field"),
+        ({"par": 0.3, "cr": "high", "f": 0.5}, "p has non-numeric cr 'high'"),
+        ({"par": 0.3, "cr": True, "f": 0.5}, "p has non-numeric cr True"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            read_param_vector(payload, "p")
+        assert str(info.value) == message
 
 
 def test_param_vector_bounds_enforced():
