@@ -112,8 +112,6 @@ def _gradient(n: int) -> np.ndarray:
     return np.arange(n) / (n - 1)
 
 
-# doubles of the Gaussian draw generated at once
-_DRAW_CHUNK = 1 << 16
 # side of the square blocks `_transpose_inplace` swaps
 _TRANSPOSE_BLOCK = 128
 
@@ -125,18 +123,15 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     deterministic function of the draw.
 
     The draw, LAPACK's factorisation and the result share one n x n buffer.
-    The draw is generated a chunk of rows at a time, each chunk written
-    transposed, so the buffer holds it in column-major order. dgeqrf and
-    dorgqr run in place on it with the workspace each routine asks for, as
-    `np.linalg.qr` runs them, and leave Q column-major; the buffer is then
-    transposed over itself one square block at a time. Q is that of
-    `np.linalg.qr(draw)` bit for bit, and the generator ends where one
-    (n, n) draw leaves it.
+    One (n, n) draw fills it, and a transpose over itself, one square block
+    at a time, leaves the draw in column-major order. dgeqrf and dorgqr run
+    in place on it with the workspace each routine asks for, as
+    `np.linalg.qr` runs them, and leave Q column-major; a second transpose
+    makes it row-major. Q is that of `np.linalg.qr(draw)` bit for bit.
     """
     a = np.empty((n, n))
-    rows = max(1, _DRAW_CHUNK // n)
-    for i in range(0, n, rows):
-        a[:, i : i + rows] = rng.standard_normal((min(rows, n - i), n)).T
+    rng.standard_normal(out=a)
+    _transpose_inplace(a)
     tau = np.empty(n)
     _lapack("dgeqrf", n, n, a, n, tau)
     signs = np.sign(a.diagonal())  # R's diagonal, before dorgqr overwrites it

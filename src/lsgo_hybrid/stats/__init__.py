@@ -18,7 +18,7 @@ from .ranking import (
     rank_matrix,
 )
 from .report import format_text, full_report, write_report
-from .special import beta_inc, chi2_sf, f_sf, gamma_q
+from .special import beta_inc, chi2_sf, f_sf
 
 __all__ = [
     "METRICS",
@@ -41,5 +41,4 @@ __all__ = [
     "beta_inc",
     "chi2_sf",
     "f_sf",
-    "gamma_q",
 ]

@@ -1,9 +1,10 @@
 """Tail probabilities for the chi-square and F distributions.
 
-Built on the regularized incomplete gamma and beta functions (power series
-plus Lentz continued fractions), so the statistics layer needs no runtime
-beyond the standard library. Accuracy is driven to ~1e-14 relative, well
-inside the 1e-10 target the tests check against an independent oracle.
+The chi-square tail at an integer number of degrees of freedom is a finite
+sum; the F tail is the regularized incomplete beta function, by a Lentz
+continued fraction. So the statistics layer needs no runtime beyond the
+standard library. Accuracy is ~1e-13 relative, well inside the 1e-10
+target the tests check against an independent oracle.
 """
 
 from __future__ import annotations
@@ -13,58 +14,6 @@ import math
 _MAX_ITER = 500
 _EPS = 1e-15
 _TINY = 1e-300
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # lower regularized P(a, x); converges fast for x < a + 1
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise ArithmeticError("incomplete gamma series did not converge")
-
-
-def _gamma_q_cf(a: float, x: float) -> float:
-    # upper regularized Q(a, x) via modified Lentz; for x >= a + 1
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise ArithmeticError("incomplete gamma continued fraction did not converge")
-
-
-def gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_cf(a, x)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -121,13 +70,34 @@ def beta_inc(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def chi2_sf(x: float, df: float) -> float:
-    """P(X > x) for a chi-square variable with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for a chi-square variable with df degrees of freedom, df a
+    positive integer (Friedman's test passes k - 1).
+
+    With h = x / 2 the tail is a finite sum: sum_{j < df/2} e^-h h^j / j!
+    for even df, and erfc(sqrt h) + sum_{j=1}^{(df-1)/2} e^-h h^(j-1/2) /
+    Gamma(j+1/2) for odd df, each term the previous one times h / j or
+    h / (j + 1/2). The terms carry e^-h, so none exceeds 1. Accurate while
+    e^-h is a normal double (x below about 1400).
+    """
+    if df < 1 or df % 1:
+        raise ValueError(f"degrees of freedom must be a positive integer, not {df!r}")
     if x <= 0:
         return 1.0
-    return gamma_q(df / 2.0, x / 2.0)
+    if math.isinf(x):
+        return 0.0
+    h = x / 2.0
+    if df % 2:
+        head, a = math.erfc(math.sqrt(h)), 1.5
+        term = 2.0 * math.sqrt(h / math.pi) * math.exp(-h)
+    else:
+        head, term, a = 0.0, math.exp(-h), 1.0
+    total = 0.0
+    for _ in range(int(df) // 2):
+        total += term
+        term *= h / a
+        a += 1.0
+    return head + total
 
 
 def f_sf(x: float, dfn: float, dfd: float) -> float:

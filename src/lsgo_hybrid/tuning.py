@@ -67,10 +67,7 @@ class TunerConfig:
             raise ValueError("probes_per_eval must be at least 1")
         if self.population_size < 4:
             raise ValueError("population_size must be at least 4")
-        if self.inner_budget < 2 * self.population_size:
-            raise ValueError(
-                "inner_budget must be at least twice the probe pool size"
-            )
+        _probe_split(self.inner_budget, self.population_size)
 
 
 def read_param_vector(payload, where: str) -> ParamVector:
@@ -99,18 +96,33 @@ def load_specialist_params(function_id: str) -> ParamVector:
     return read_param_vector(table[function_id], f"{_PARAMS_FILE} entry {function_id}")
 
 
-def probe_config(params: ParamVector, inner_budget: int,
-                 population_size: int, seed: int) -> HybridConfig:
-    """Single-cycle hybrid config consuming exactly inner_budget evaluations.
+def _probe_split(inner_budget: int, population_size: int) -> tuple[int, int]:
+    """(harmony, DE) evaluations of a probe run.
 
     The differential phase gets the largest whole number of sweeps not
     exceeding two thirds of the budget; the harmony phase takes the rest,
-    keeping the roughly 1:2 split of the full-budget defaults.
+    keeping the roughly 1:2 split of the full-budget defaults. The pool's
+    own evaluation is charged to the harmony share, so a split must leave
+    that share larger than the pool: else no harmony iteration runs and
+    `par` cannot act on the probe's fitness.
     """
     de_evals = ((2 * inner_budget // 3) // population_size) * population_size
     harmony_evals = inner_budget - de_evals
     if de_evals < population_size:
         raise ValueError("inner_budget too small for one differential sweep")
+    if harmony_evals <= population_size:
+        raise ValueError(
+            f"inner_budget {inner_budget} leaves no harmony iteration after "
+            f"the pool's {population_size} evaluations"
+        )
+    return harmony_evals, de_evals
+
+
+def probe_config(params: ParamVector, inner_budget: int,
+                 population_size: int, seed: int) -> HybridConfig:
+    """Single-cycle hybrid config consuming exactly inner_budget evaluations,
+    split between the phases by `_probe_split`."""
+    harmony_evals, de_evals = _probe_split(inner_budget, population_size)
     config = HybridConfig(
         population_size=population_size,
         outer_iterations=1,

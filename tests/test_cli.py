@@ -292,7 +292,7 @@ def test_stats_rejects_malformed_table(tmp_path, capsys, text, where):
 def test_tune_deterministic_output(tmp_path):
     args = ["tune", "--function", "F5", "--dim", "10", "--probes", "1",
             "--generations", "0", "--ga-population", "3",
-            "--inner-budget", "60", "--pool", "20", "--seed", "3"]
+            "--inner-budget", "61", "--pool", "20", "--seed", "3"]
     payloads = []
     for name in ("t1", "t2"):
         out = tmp_path / name
@@ -309,7 +309,7 @@ def test_tuned_params_feed_back_into_run(tmp_path):
     tune_out = tmp_path / "tuned"
     assert main(["tune", "--function", "F1", "--dim", "10", "--probes", "1",
                  "--generations", "0", "--ga-population", "3",
-                 "--inner-budget", "60", "--pool", "20", "--seed", "1",
+                 "--inner-budget", "61", "--pool", "20", "--seed", "1",
                  "--out", str(tune_out)]) == 0
     tuned_file = tune_out / "tuned_F1_D10.json"
     out = tmp_path / "rerun"

@@ -4,7 +4,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from lsgo_hybrid import hybrid
 from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
+from lsgo_hybrid.harmony import harmony_run
 from lsgo_hybrid.hybrid import HybridConfig, fe_budget, run
 from lsgo_hybrid.tuning import (
     PARAM_BOUNDS,
@@ -38,7 +40,7 @@ SPECIALIST = {
 
 
 def _tiny_tuner(**overrides):
-    base = dict(ga_population=3, ga_generations=0, inner_budget=60,
+    base = dict(ga_population=3, ga_generations=0, inner_budget=61,
                 probes_per_eval=1, seed=0, population_size=20)
     base.update(overrides)
     return TunerConfig(**base)
@@ -101,6 +103,56 @@ def test_tuner_config_validation():
         _tiny_tuner(probes_per_eval=0).validate()
     with pytest.raises(ValueError):
         _tiny_tuner(inner_budget=30).validate()
+
+
+_REFUSALS = {"sweep": "too small for one differential sweep",
+             "harmony": "leaves no harmony iteration"}
+
+
+@pytest.mark.parametrize("inner_budget, pool, verdict", [
+    (29, 20, "sweep"), (40, 20, "harmony"), (41, 20, "ok"), (60, 20, "harmony"),
+    (61, 20, "ok"), (600, 200, "harmony"), (601, 200, "ok"),
+])
+def test_probe_split_needs_a_sweep_and_a_harmony_iteration(inner_budget, pool,
+                                                           verdict):
+    # the pool's evaluation is charged to the harmony share, so the share
+    # must exceed the pool for one harmony iteration to run
+    tuner = _tiny_tuner(inner_budget=inner_budget, population_size=pool)
+    vector = ParamVector(0.4, 0.9, 0.5)
+    if verdict == "ok":
+        tuner.validate()
+        cfg = probe_config(vector, inner_budget, pool, seed=0)
+        assert cfg.harmony.max_iterations > pool
+    else:
+        with pytest.raises(ValueError, match=_REFUSALS[verdict]):
+            tuner.validate()
+        with pytest.raises(ValueError, match=_REFUSALS[verdict]):
+            probe_config(vector, inner_budget, pool, seed=0)
+
+
+def _accepted(inner_budget, pool):
+    try:
+        _tiny_tuner(inner_budget=inner_budget, population_size=pool).validate()
+    except ValueError:
+        return False
+    return True
+
+
+def test_probe_at_the_smallest_accepted_budget_runs_a_harmony_iteration(monkeypatch):
+    pool = 20
+    smallest = next(b for b in range(1, 10 * pool) if _accepted(b, pool))
+    assert smallest == 41
+    spent = []
+
+    def counting(*args, **kwargs):
+        spent.append(harmony_run(*args, **kwargs))
+        return spent[-1]
+
+    monkeypatch.setattr(hybrid, "harmony_run", counting)
+    inst = make_instance("F1", 10, 0)
+    run(inst, probe_config(ParamVector(0.4, 0.9, 0.5), smallest, pool, seed=0))
+    assert spent == [1]
+    assert inst.eval_count == smallest
 
 
 def test_probe_config_budget_is_exact():
