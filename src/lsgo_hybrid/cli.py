@@ -282,7 +282,6 @@ def cmd_tune(args) -> int:
         inner_budget=args.inner_budget,
         probes_per_eval=args.probes,
         seed=args.seed,
-        population_size=args.pool,
     )
     vector, fitness = tune(instance, config)
     out = _out_dir(args)
@@ -344,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--checkpoints",
                        default=",".join(map(str, HybridConfig().checkpoints)),
                        help="outer-cycle indices to record, comma separated")
-    p_run.add_argument("--parallel", type=int, default=0,
-                       help="worker processes (default: all CPUs this process may use)")
+    p_run.add_argument("--parallel", type=int, default=1,
+                       help="worker processes (default 1; 0: one per CPU this "
+                            "process may use)")
     p_run.add_argument("--out")
     p_run.set_defaults(handler=cmd_run)
 
@@ -364,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--ga-population", type=int, default=tuner.ga_population)
     p_tune.add_argument("--probes", type=int, default=tuner.probes_per_eval)
     p_tune.add_argument("--inner-budget", type=int, default=tuner.inner_budget)
-    p_tune.add_argument("--pool", type=int, default=tuner.population_size,
-                        help="pool size of the probed hybrid runs")
     p_tune.add_argument("--out")
     p_tune.set_defaults(handler=cmd_tune)
 

@@ -41,55 +41,53 @@ def full_report(matrix: MedianMatrix) -> dict:
     }
 
 
-def format_text(report: dict) -> str:
+def _tables(report: dict) -> list[tuple[str, list[str], list[str], list[list[str]]]]:
+    """(file name, title lines, header, rows) of each table of `report`.
+
+    Every cell is the string that both its CSV file and the text report show.
+    """
     names = report["algorithms"]
-    width = max(len(n) for n in names) + 2
-    lines = []
-
-    lines.append("Per-function competition ranks (lower is better)")
-    head = "".join(f"{f:>5}" for f in report["functions"])
-    lines.append(" " * width + head + "  nbest")
-    for i, name in enumerate(names):
-        row = "".join(f"{r:>5d}" for r in report["competition_ranks"][i])
-        lines.append(f"{name:<{width}}" + row + f"  {report['nbest'][i]:>5d}")
-    lines.append("")
-
     fr, qu = report["friedman"], report["quade"]
-    lines.append("Omnibus tests over per-function ranks")
-    lines.append(
-        f"  chi-square test: statistic {fr['statistic']:.4f} "
-        f"(uncorrected {fr['statistic_uncorrected']:.4f}), "
-        f"dof {fr['dof']}, p-value {fr['p_value']:.4e}"
-    )
-    lines.append(
-        f"  range-weighted F test: statistic {qu['statistic']:.4f}, "
-        f"dof ({qu['dof'][0]}, {qu['dof'][1]}), p-value {qu['p_value']:.4e}"
-    )
-    lines.append(f"{'':<{width}}{'mean rank':>12}{'weighted rank':>16}")
-    for i, name in enumerate(names):
-        lines.append(
-            f"{name:<{width}}{fr['mean_ranks'][i]:>12.4f}"
-            f"{qu['weighted_ranks'][i]:>16.4f}"
-        )
-    lines.append("")
+    groups = report["groups"]
+    return [
+        ("ranks.csv",
+         ["Per-function competition ranks (lower is better)"],
+         ["algorithm", *report["functions"], "nbest"],
+         [[name, *map(str, ranks), str(best)] for name, ranks, best
+          in zip(names, report["competition_ranks"], report["nbest"])]),
+        ("tests.csv",
+         ["Omnibus tests over per-function ranks",
+          f"  chi-square test: statistic {fr['statistic']:.4f} "
+          f"(uncorrected {fr['statistic_uncorrected']:.4f}), "
+          f"dof {fr['dof']}, p-value {fr['p_value']:.4e}",
+          f"  range-weighted F test: statistic {qu['statistic']:.4f}, "
+          f"dof ({qu['dof'][0]}, {qu['dof'][1]}), p-value {qu['p_value']:.4e}"],
+         ["algorithm", "nbest", "friedman_mean_rank", "quade_weighted_rank"],
+         [[name, str(best), f"{mean:.6f}", f"{weighted:.6f}"]
+          for name, best, mean, weighted
+          in zip(names, report["nbest"], fr["mean_ranks"], qu["weighted_ranks"])]),
+        ("scores.csv",
+         ["Race-style scores per function group (higher is better)",
+          "  " + ", ".join(f"S{g}={'+'.join(group)}"
+                           for g, group in enumerate(groups, start=1))],
+         ["algorithm", *(f"{kind}{g}" for g in range(1, len(groups) + 1)
+                         for kind in "SR")],
+         [[name, *(str(v) for pair in zip(scores, ranks) for v in pair)]
+          for name, scores, ranks
+          in zip(names, report["group_scores"], report["group_ranks"])]),
+    ]
 
-    lines.append("Race-style scores per function group (higher is better)")
-    group_desc = ", ".join(
-        f"S{g + 1}={'+'.join(fn for fn in grp)}"
-        for g, grp in enumerate(report["groups"])
-    )
-    lines.append("  " + group_desc)
-    n_groups = len(report["groups"])
-    head = "".join(f"{'S%d' % (g + 1):>6}{'R%d' % (g + 1):>4}"
-                   for g in range(n_groups))
-    lines.append(" " * width + head)
-    for i, name in enumerate(names):
-        row = "".join(
-            f"{report['group_scores'][i][g]:>6d}{report['group_ranks'][i][g]:>4d}"
-            for g in range(n_groups)
-        )
-        lines.append(f"{name:<{width}}" + row)
-    lines.append("")
+
+def format_text(report: dict) -> str:
+    """Each table under its title lines, the CSV cells in aligned columns."""
+    lines = []
+    for _, titles, header, rows in _tables(report):
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        lines += titles
+        for name, *values in (header, *rows):
+            lines.append("  ".join([name.ljust(widths[0])] + [
+                value.rjust(width) for value, width in zip(values, widths[1:])]))
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -101,35 +99,6 @@ def write_report(report: dict, out_dir: Path):
         fh.write("\n")
     with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(format_text(report))
-
-    names = report["algorithms"]
-    with open(out_dir / "ranks.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", *report["functions"], "nbest"])
-        for i, name in enumerate(names):
-            writer.writerow([name, *report["competition_ranks"][i],
-                             report["nbest"][i]])
-
-    with open(out_dir / "tests.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "nbest", "friedman_mean_rank",
-                         "quade_weighted_rank"])
-        fr = report["friedman"]["mean_ranks"]
-        qu = report["quade"]["weighted_ranks"]
-        for i, name in enumerate(names):
-            writer.writerow([name, report["nbest"][i],
-                             f"{fr[i]:.6f}", f"{qu[i]:.6f}"])
-
-    n_groups = len(report["groups"])
-    header = ["algorithm"]
-    for g in range(1, n_groups + 1):
-        header += [f"S{g}", f"R{g}"]
-    with open(out_dir / "scores.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, name in enumerate(names):
-            row = [name]
-            for g in range(n_groups):
-                row += [report["group_scores"][i][g],
-                        report["group_ranks"][i][g]]
-            writer.writerow(row)
+    for file_name, _, header, rows in _tables(report):
+        with open(out_dir / file_name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])

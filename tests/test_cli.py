@@ -162,14 +162,14 @@ def test_cli_defaults_are_the_config_defaults():
     parser = build_parser()
     tune = parser.parse_args(["tune", "--function", "F1"])
     tuner = lsgo_hybrid.TunerConfig()
-    assert (tune.generations, tune.ga_population, tune.probes, tune.inner_budget,
-            tune.pool) == (tuner.ga_generations, tuner.ga_population,
-                           tuner.probes_per_eval, tuner.inner_budget,
-                           tuner.population_size)
+    assert (tune.generations, tune.ga_population, tune.probes,
+            tune.inner_budget) == (tuner.ga_generations, tuner.ga_population,
+                                   tuner.probes_per_eval, tuner.inner_budget)
     assert tuner.population_size == lsgo_hybrid.HybridConfig().population_size
     run = parser.parse_args(["run", "--functions", "F1"])
     checkpoints = tuple(int(c) for c in run.checkpoints.split(","))
     assert checkpoints == lsgo_hybrid.HybridConfig().checkpoints
+    assert run.parallel == 1
 
 
 def test_run_explicit_params(tmp_path):
@@ -292,7 +292,7 @@ def test_stats_rejects_malformed_table(tmp_path, capsys, text, where):
 def test_tune_deterministic_output(tmp_path):
     args = ["tune", "--function", "F5", "--dim", "10", "--probes", "1",
             "--generations", "0", "--ga-population", "3",
-            "--inner-budget", "61", "--pool", "20", "--seed", "3"]
+            "--inner-budget", "601", "--seed", "3"]
     payloads = []
     for name in ("t1", "t2"):
         out = tmp_path / name
@@ -309,7 +309,7 @@ def test_tuned_params_feed_back_into_run(tmp_path):
     tune_out = tmp_path / "tuned"
     assert main(["tune", "--function", "F1", "--dim", "10", "--probes", "1",
                  "--generations", "0", "--ga-population", "3",
-                 "--inner-budget", "61", "--pool", "20", "--seed", "1",
+                 "--inner-budget", "601", "--seed", "1",
                  "--out", str(tune_out)]) == 0
     tuned_file = tune_out / "tuned_F1_D10.json"
     out = tmp_path / "rerun"

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 
@@ -29,6 +30,7 @@ from lsgo_hybrid.stats import (
     read_results,
     reference_median_matrix,
     reference_values,
+    write_report,
 )
 
 # -- special functions against an independent implementation -----------------
@@ -349,6 +351,19 @@ def test_full_report_is_json_serialisable():
     assert (report["friedman"]["statistic"], report["friedman"]["p_value"]) == (0.0, 1.0)
     assert report["quade"]["statistic"] == float("inf")
     assert report["quade"]["p_value"] == 0.0
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["bundled", "all-ties"])
+def test_text_report_shows_every_csv_row(tmp_path, ties):
+    matrix = (MedianMatrix(["a", "b", "c"], ["F1", "F2", "F3"], np.ones((3, 3)))
+              if ties else reference_median_matrix())
+    write_report(full_report(matrix), tmp_path)
+    text = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    lines = [line.split() for line in text.splitlines()]
+    for name in ("ranks.csv", "tests.csv", "scores.csv"):
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            for row in csv.reader(fh):
+                assert row in lines, (name, row)
 
 
 def test_full_report_trims_the_default_groups_to_the_matrix():
