@@ -2,7 +2,7 @@
 
 Subcommands:
   run         seeded batches of hybrid runs, audited CSV results + summary
-  stats       ranking pipeline over a median matrix (file or bundled)
+  stats       ranking pipeline over a median matrix (files or bundled)
   tune        GA parameter tuning for one function, JSON output
   bench-info  write a benchmark instance descriptor
 
@@ -183,7 +183,7 @@ def cmd_run(args) -> int:
     runs_path = out / "runs.csv"
     header = ["function_id", "dim", "seed", *fe_columns,
               "final_best", "wall_ms", "config_hash"]
-    summaries = []
+    summaries = {}
     workers = args.parallel if args.parallel else _usable_cpus()
     # each function's rows reach the file as soon as its batch ends, so an
     # interrupted or failed command keeps every function it finished
@@ -194,7 +194,7 @@ def cmd_run(args) -> int:
         for fid in sorted(functions, key=_FID_NUM.get):
             results, summary = run_batch((fid, args.dim, args.seed), configs[fid],
                                          n_runs=args.runs, workers=workers)
-            summaries.append((fid, summary))
+            summaries[fid] = summary
             for r in results:
                 row = [fid, args.dim, r.seed]
                 row += [_exact(r.best_at_checkpoint[fe]) for fe in checkpoint_fes]
@@ -206,20 +206,17 @@ def cmd_run(args) -> int:
 
     summary_path = out / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["function_id", "dim", "n_runs", *METRICS, "config_hash"])
-        for fid, summary in summaries:
-            writer.writerow([fid, args.dim, args.runs,
-                             *(_sci(summary[m]) for m in METRICS), config_hash])
+        csv.writer(fh).writerows([["algorithm", "metric", *summaries]] + [
+            [config_hash, m, *(_sci(s[m]) for s in summaries.values())] for m in METRICS])
 
     print(f"wrote {runs_path} and {summary_path}")
-    audit_results(runs_path, summary_path)
+    audit_results(runs_path, summary_path, args.runs)
     print("audit: ok")
     return 0
 
 
-def audit_results(runs_path: Path, summary_path: Path):
-    """Recompute every summary row from its per-run rows; raise on mismatch.
+def audit_results(runs_path: Path, summary_path: Path, n_runs: int):
+    """Recompute every summary cell from the per-run rows; raise on mismatch.
 
     The per-run values are written exactly and `final_stats` is the
     function that made the summary, so a correct pair of files matches
@@ -241,30 +238,33 @@ def audit_results(runs_path: Path, summary_path: Path):
         finals.setdefault(row["function_id"], []).append(float(row["final_best"]))
 
     with open(summary_path, newline="", encoding="utf-8") as fh:
-        summary_rows = list(csv.DictReader(fh))
-    for row in summary_rows:
-        fid = row["function_id"]
-        values = finals.get(fid, [])
-        if len(values) != int(row["n_runs"]):
-            raise ValueError(f"audit: {fid} run count mismatch")
-        recomputed = final_stats(values)
-        for key, value in recomputed.items():
-            if _sci(value) != row[key]:
-                raise ValueError(
-                    f"audit: {fid} column {key}: recomputed {_sci(value)} "
-                    f"!= stored {row[key]}"
-                )
+        tables = read_results(fh.read(), f"audit: {summary_path}")
+    shape = ([rows[0]["config_hash"]], list(finals))
+    if (tuple(tables) != METRICS
+            or any((t.algorithms, t.functions) != shape for t in tables.values())):
+        raise ValueError(f"audit: {summary_path} must hold the rows {METRICS} of "
+                         f"algorithm {shape[0][0]} over the functions {shape[1]}")
+    for j, (fid, values) in enumerate(finals.items()):
+        if len(values) != n_runs:
+            raise ValueError(f"audit: {fid} has {len(values)} runs, not {n_runs}")
+        for key, value in final_stats(values).items():
+            if _sci(value) != _sci(stored := tables[key].values[0, j]):
+                raise ValueError(f"audit: {fid} {key}: recomputed {_sci(value)} "
+                                 f"!= stored {_sci(stored)}")
 
 
 def cmd_stats(args) -> int:
     if args.input is None:
         matrix = reference_median_matrix()
     else:
-        with open(args.input, newline="", encoding="utf-8") as fh:
-            tables = read_results(fh.read(), args.input)
-        if "median" not in tables:
-            raise ValueError(f"{args.input}: no median rows found")
-        matrix = tables["median"]
+        heads, bodies = zip(*(Path(path).read_text(encoding="utf-8").partition("\n")[::2]
+                              for path in args.input))
+        source = " + ".join(args.input)
+        if len(set(heads)) > 1:
+            raise ValueError(f"{source}: the headers differ: {heads}")
+        matrix = read_results("\n".join([heads[0], *bodies]), source).get("median")
+        if matrix is None:
+            raise ValueError(f"{source}: no median rows found")
 
     report = full_report(matrix)
     out = _out_dir(args)
@@ -350,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(handler=cmd_run)
 
     p_stats = sub.add_parser("stats", help="ranking and omnibus tests")
-    p_stats.add_argument("--input",
-                         help="median matrix CSV (default: the bundled published table)")
+    p_stats.add_argument("--input", nargs="+",
+                         help="results tables ranked as one (default: the bundled table)")
     p_stats.add_argument("--out")
     p_stats.set_defaults(handler=cmd_stats)
 

@@ -3,7 +3,7 @@
 The package ships a frozen CSV of published final-value statistics for
 eleven optimizers on the fifteen benchmark functions at D=1000.  A sha256
 sidecar guards against silent edits; loaders verify it before parsing.
-`read_results` parses this table and the CSV tables `stats --input` reads.
+`read_results` parses this table, `run`'s summary.csv and `stats --input`.
 """
 
 from __future__ import annotations

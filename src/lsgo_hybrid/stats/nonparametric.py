@@ -69,7 +69,10 @@ def quade(matrix: MedianMatrix) -> dict:
     weighted_ranks = w_j / (n * (n + 1) / 2.0)
 
     dof = [k - 1, (k - 1) * (n - 1)]
-    if a <= b:
+    if a == 0.0:
+        # every column fully tied: no evidence of any difference
+        stat, p_value = 0.0, 1.0
+    elif a <= b:
         # perfect agreement across functions: the statistic diverges
         stat, p_value = float("inf"), 0.0
     else:

@@ -16,6 +16,7 @@ from lsgo_hybrid.cli import (
     main,
     parse_function_list,
 )
+from lsgo_hybrid.stats import METRICS, read_results
 
 TINY_RUN = ["run", "--dim", "10", "--runs", "2", "--seed", "3",
             "--budget-scale", "0.002", "--parallel", "1"]
@@ -65,11 +66,12 @@ def test_run_writes_expected_files(tmp_path, capsys):
     assert len(hashes) == 1
     assert len(hashes.pop()) == 12
 
+    # one row per metric, named by the config hash, which covers the run count
     summary = _read(out / "summary.csv")
-    assert summary[0][:3] == ["function_id", "dim", "n_runs"]
-    assert len(summary) == 2
-    assert summary[1][0] == "F2"
-    assert summary[1][2] == "2"
+    assert summary[0] == ["algorithm", "metric", "F2"]
+    assert len(summary) == 1 + len(METRICS)
+    assert [r[1] for r in summary[1:]] == list(METRICS)
+    assert {r[0] for r in summary[1:]} == {rows[1][-1]}
 
 
 def test_run_is_deterministic_apart_from_wall_time(tmp_path):
@@ -438,13 +440,69 @@ def test_audit_matches_exactly_and_catches_a_changed_summary(tmp_path):
     assert all(float(f"{v:.16e}") == v for v in finals)
 
     summary = _read(out / "summary.csv")
-    column = summary[0].index("stddev")
-    mantissa, exponent = summary[1][column].split("e")
-    summary[1][column] = f"{float(mantissa) + 1e-8:.8f}e{exponent}"
+    row = next(r for r in summary if r[1] == "stddev")
+    mantissa, exponent = row[2].split("e")
+    row[2] = f"{float(mantissa) + 1e-8:.8f}e{exponent}"
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(summary)
-    with pytest.raises(ValueError, match="stddev"):
-        audit_results(out / "runs.csv", out / "summary.csv")
+    with pytest.raises(ValueError, match="F1 stddev"):
+        audit_results(out / "runs.csv", out / "summary.csv", 5)
+
+
+@pytest.mark.parametrize("edit, runs, message", [
+    (lambda rows: [r[:-1] for r in rows], 2, "over the functions ['F1', 'F4']"),
+    (lambda rows: rows[:-1], 2, "must hold the rows"),
+    (lambda rows: [rows[0]] + [["other", *r[1:]] for r in rows[1:]], 2,
+     "must hold the rows"),
+    (lambda rows: rows, 3, "F1 has 2 runs, not 3"),
+], ids=["missing-function", "missing-metric", "other-algorithm", "run-count"])
+def test_audit_refuses_a_summary_of_another_shape(tmp_path, edit, runs, message):
+    out = tmp_path / "exp"
+    assert main(TINY_RUN + ["--functions", "F1,F4", "--out", str(out)]) == 0
+    audit_results(out / "runs.csv", out / "summary.csv", 2)
+    summary = edit(_read(out / "summary.csv"))
+    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(summary)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        audit_results(out / "runs.csv", out / "summary.csv", runs)
+
+
+def _summary(tmp_path, name, functions, params="table2b"):
+    out = tmp_path / name
+    assert main(TINY_RUN + ["--functions", functions, "--params", params,
+                            "--out", str(out)]) == 0
+    return str(out / "summary.csv")
+
+
+def test_stats_ranks_the_summaries_of_several_runs(tmp_path, monkeypatch):
+    paths = [_summary(tmp_path, "a", "F1,F4"),
+             _summary(tmp_path, "b", "F1,F4", "explicit:0.2,0.5,0.7")]
+    ranked = []
+    real_full_report = lsgo_hybrid.cli.full_report
+    monkeypatch.setattr(lsgo_hybrid.cli, "full_report",
+                        lambda matrix: ranked.append(matrix) or real_full_report(matrix))
+    assert main(["stats", "--input", *paths, "--out", str(tmp_path / "o")]) == 0
+    (matrix,) = ranked
+    medians = [read_results(Path(p).read_text(encoding="utf-8"), p)["median"]
+               for p in paths]
+    assert matrix.algorithms == [m.algorithms[0] for m in medians]
+    assert len(set(matrix.algorithms)) == 2
+    assert matrix.functions == ["F1", "F4"]
+    assert matrix.values.tolist() == [m.values[0].tolist() for m in medians]
+    assert len(_read(tmp_path / "o" / "ranks.csv")) == 3
+
+
+@pytest.mark.parametrize("second, message", [
+    (None, "row 7, column algorithm: duplicate algorithm"),
+    ("F1", "the headers differ"),
+], ids=["same-file-twice", "other-functions"])
+def test_stats_refuses_summaries_that_do_not_join(tmp_path, capsys, second, message):
+    first = _summary(tmp_path, "a", "F1,F4")
+    paths = [first, _summary(tmp_path, "b", second) if second else first]
+    out = tmp_path / "o"
+    assert main(["stats", "--input", *paths, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {paths[0]} + {paths[1]}: {message}")
+    assert not (out / "report.json").exists()
 
 
 def test_runs_csv_keeps_finished_functions_when_a_later_one_fails(tmp_path, monkeypatch):

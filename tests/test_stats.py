@@ -346,11 +346,18 @@ def test_full_report_is_json_serialisable():
     ties = MedianMatrix(["a", "b", "c"], ["F1", "F2", "F3"], np.ones((3, 3)))
     for matrix in (bundled, ties):
         report = full_report(matrix)
-        assert json.loads(json.dumps(report)) == report
-    # the all-ties matrix takes both early returns
+        assert json.loads(json.dumps(report, allow_nan=False)) == report
+    # the all-ties matrix takes both early returns: no evidence of a difference
     assert (report["friedman"]["statistic"], report["friedman"]["p_value"]) == (0.0, 1.0)
-    assert report["quade"]["statistic"] == float("inf")
-    assert report["quade"]["p_value"] == 0.0
+    assert (report["quade"]["statistic"], report["quade"]["p_value"]) == (0.0, 1.0)
+
+
+def test_quade_perfect_agreement_diverges():
+    # every function ranks the algorithms alike over equal ranges: a == b > 0
+    matrix = MedianMatrix(["a", "b", "c"], ["F1", "F2", "F3"],
+                          np.repeat([[1.0], [2.0], [3.0]], 3, axis=1))
+    result = quade(matrix)
+    assert (result["statistic"], result["p_value"]) == (float("inf"), 0.0)
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["bundled", "all-ties"])
