@@ -12,8 +12,9 @@ Instances are self-generated from (function_id, dimension, seed) alone and
 are bit-identical across calls with the same triple at one BLAS thread
 count: OpenBLAS's QR and products of large rotated blocks (F8, F13 and F15
 at dimension 1000, not F4) round differently at another thread count (see
-item 1 of ROADMAP.md). Every instance knows a preimage of its optimum, and
-evaluating there gives a value <= 1e-6.
+item 1 of ROADMAP.md). `digest()` hashes those bits, and `from_descriptor`
+refuses a descriptor with another digest. Every instance knows a preimage
+of its optimum, and evaluating there gives a value <= 1e-6.
 
 Evaluation has one x -> z path, and it evaluates rows in groups of G.
 `_prepare` lays every block's coordinates end to end in one buffer
@@ -46,8 +47,8 @@ calls.
 
 from __future__ import annotations
 
-import base64
 import copy
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -61,7 +62,7 @@ from .transforms import (
     random_orthogonal,
 )
 
-_DESCRIPTOR_FORMAT = "lsgo-hybrid-instance/1"
+_DESCRIPTOR_FORMAT = "lsgo-hybrid-instance/2"
 
 # Rows per evaluation group; a rotation product has G or G // 2 columns.
 G = 16
@@ -409,16 +410,17 @@ class BenchmarkInstance:
 
     # serialisation
 
+    def digest(self) -> dict:
+        """sha256 hex digests of the generated arrays (permutation as int64,
+        shift, block weights, per-block shifts) and of the rotations."""
+        subs = self.subcomponents
+        arrays = [self.permutation.astype(np.int64), self.shift,
+                  np.array([s.weight for s in subs]), *(s.local_shift for s in subs)]
+        parts = {"arrays": arrays, "rotations": [s.rotation for s in subs]}
+        return {name: hashlib.sha256(b"".join(a.tobytes() for a in group if a is not None))
+                .hexdigest() for name, group in parts.items()}
+
     def to_descriptor(self) -> dict:
-        subs = []
-        for s in self.subcomponents:
-            subs.append({
-                "start": s.start,
-                "size": s.size,
-                "rotated": s.rotation is not None,
-                "weight": s.weight,
-                "shift": _encode(s.local_shift) if s.local_shift is not None else None,
-            })
         return {
             "format": _DESCRIPTOR_FORMAT,
             "function_id": self.function_id,
@@ -427,25 +429,18 @@ class BenchmarkInstance:
             "bounds": list(self.bounds),
             "base": self.base,
             "family": self.family,
+            "rotated": _FUNCTIONS[self.function_id].rotated,
             "irregularity": self.irregularity,
             "asymmetry_beta": self.asymmetry_beta,
             "conditioning_alpha": self.conditioning_alpha,
-            "permutation": _encode(self.permutation.astype(np.int64)),
-            "shift": _encode(self.shift) if self.shift is not None else None,
-            "subcomponents": subs,
-            "tail": (
-                {"start": self.tail.start, "size": self.tail.size}
-                if self.tail is not None
-                else None
-            ),
+            "layout": [[s.start, s.size] for s in self.subcomponents],
+            "weights": [s.weight for s in self.subcomponents],
+            "tail": [self.tail.start, self.tail.size] if self.tail is not None else None,
+            "digest": self.digest(),
         }
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_descriptor(), **kwargs)
-
-
-def _encode(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a).tobytes()).decode("ascii")
 
 
 def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInstance:
@@ -542,21 +537,25 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
             raise ValueError(f"descriptor {field} must be of type {kind.__name__}, "
                              f"got {value!r}")
     source = f"make_instance({desc['function_id']!r}, {desc['dimension']}, {desc['seed']})"
+
+    def check(expected):
+        for field, value in expected.items():
+            if field not in desc:
+                raise ValueError(f"descriptor has no {field} field")
+            if desc[field] != value:
+                raise ValueError(f"descriptor {field} differs from that of {source}")
     # an edited dimension is refused before an instance of that size is built:
-    # the permutation is `dimension` int64 values in base64
-    if "permutation" not in desc:
-        raise ValueError("descriptor has no permutation field")
-    permutation = desc["permutation"]
-    b64_length = 4 * ((8 * desc["dimension"] + 2) // 3)
-    if not isinstance(permutation, str) or len(permutation) != b64_length:
-        raise ValueError(f"descriptor permutation differs from that of {source}")
+    # every layout ends at its dimension, and none fits one `_layout` refuses
+    if (fspec := _FUNCTIONS.get(desc["function_id"])) is not None:
+        try:
+            with np.errstate(all="raise"):
+                blocks, tail = _layout(fspec.family, desc["dimension"])
+        except (ValueError, ArithmeticError):
+            raise ValueError(f"descriptor layout differs from that of {source}") from None
+        check({"layout": [list(b) for b in blocks], "tail": list(tail) if tail else None})
     instance = make_instance(desc["function_id"], desc["dimension"], desc["seed"])
     expected = instance.to_descriptor()
-    for field, value in expected.items():
-        if field not in desc:
-            raise ValueError(f"descriptor has no {field} field")
-        if desc[field] != value:
-            raise ValueError(f"descriptor {field} differs from that of {source}")
+    check(expected)
     for field in desc:
         if field not in expected:
             raise ValueError(f"descriptor has an unknown field {field!r}")

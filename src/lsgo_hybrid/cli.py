@@ -43,6 +43,18 @@ _DEFAULT_OUT = "lsgo_hybrid_out"
 _FID_NUM = {fid: i for i, fid in enumerate(FUNCTION_IDS)}
 
 
+def _say(text: str) -> None:
+    """Print a line to stdout. Once stdout's reader has gone, fd 1 points at
+    devnull (the idiom of Python's signal docs): the command goes on to write
+    and audit its files, quietly, and no flush at exit fails."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _out_dir(args) -> Path:
     path = Path(args.out or os.environ.get(OUT_DIR_ENV) or _DEFAULT_OUT)
     path.mkdir(parents=True, exist_ok=True)
@@ -202,16 +214,16 @@ def cmd_run(args) -> int:
                         int(round(r.wall_time_s * 1000.0)), config_hash]
                 writer.writerow(row)
             fh.flush()
-            print(f"{fid}: {args.runs} runs done, median {_sci(summary['median'])}")
+            _say(f"{fid}: {args.runs} runs done, median {_sci(summary['median'])}")
 
     summary_path = out / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([["algorithm", "metric", *summaries]] + [
             [config_hash, m, *(_sci(s[m]) for s in summaries.values())] for m in METRICS])
 
-    print(f"wrote {runs_path} and {summary_path}")
+    _say(f"wrote {runs_path} and {summary_path}")
     audit_results(runs_path, summary_path, args.runs)
-    print("audit: ok")
+    _say("audit: ok")
     return 0
 
 
@@ -269,8 +281,7 @@ def cmd_stats(args) -> int:
     report = full_report(matrix)
     out = _out_dir(args)
     write_report(report, out)
-    sys.stdout.write(format_text(report))
-    print(f"wrote report files to {out}")
+    _say(format_text(report) + f"wrote report files to {out}")
     return 0
 
 
@@ -302,9 +313,9 @@ def cmd_tune(args) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    print(f"{args.function}: par={vector.par:.4f} cr={vector.cr:.4f} "
-          f"f={vector.f:.4f} probe_fitness={_sci(fitness)}")
-    print(f"wrote {path}")
+    _say(f"{args.function}: par={vector.par:.4f} cr={vector.cr:.4f} "
+         f"f={vector.f:.4f} probe_fitness={_sci(fitness)}")
+    _say(f"wrote {path}")
     return 0
 
 
@@ -317,9 +328,9 @@ def cmd_bench_info(args) -> int:
         fh.write("\n")
     sizes = [sub.size for sub in instance.subcomponents]
     lo, hi = instance.bounds
-    print(f"{args.function} D={args.dim} seed={args.seed}: "
-          f"bounds [{lo}, {hi}], {len(sizes)} subcomponent(s) {sizes}")
-    print(f"wrote {path}")
+    _say(f"{args.function} D={args.dim} seed={args.seed}: "
+         f"bounds [{lo}, {hi}], {len(sizes)} subcomponent(s) {sizes}")
+    _say(f"wrote {path}")
     return 0
 
 

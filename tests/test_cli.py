@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -403,6 +406,49 @@ def test_pyproject_version_matches_package():
     assert m.group(1) == lsgo_hybrid.__version__
 
 
+def _with_closed_stdout(args, unbuffered):
+    """Run the console entry point with the read end of its stdout pipe
+    closed before it starts, so its first write to stdout fails."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(lsgo_hybrid.__file__).resolve().parents[1]),
+         os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-m", "lsgo_hybrid", *args], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stats_with_a_closed_stdout_writes_every_file_and_succeeds(tmp_path, unbuffered):
+    proc = _with_closed_stdout(["stats", "--out", str(tmp_path / "closed")], unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["stats", "--out", str(tmp_path / "open")]) == 0
+    for name in REPORT_FILES:
+        assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_run_with_a_closed_stdout_finishes_every_function_and_succeeds(tmp_path,
+                                                                     unbuffered):
+    # a progress line follows each function, so an unbuffered stdout fails
+    # before the second function runs
+    args = TINY_RUN + ["--functions", "F1,F2"]
+    proc = _with_closed_stdout(args + ["--out", str(tmp_path / "closed")], unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(args + ["--out", str(tmp_path / "open")]) == 0
+    closed, opened = (_read(tmp_path / name / "runs.csv") for name in ("closed", "open"))
+    wall = closed[0].index("wall_ms")
+    assert [row[:wall] for row in closed] == [row[:wall] for row in opened]
+    assert ((tmp_path / "closed" / "summary.csv").read_bytes()
+            == (tmp_path / "open" / "summary.csv").read_bytes())
+
+
 def test_bench_info_round_trip(tmp_path):
     out = tmp_path / "info"
     assert main(["bench-info", "--function", "F8", "--dim", "30",
@@ -420,7 +466,7 @@ def test_bench_info_f15_single_subcomponent(tmp_path):
     assert main(["bench-info", "--function", "F15", "--dim", "40",
                  "--seed", "2", "--out", str(out)]) == 0
     payload = json.loads((out / "F15_D40_seed2.json").read_text())
-    assert len(payload["subcomponents"]) == 1
+    assert (payload["layout"], payload["tail"]) == ([[0, 40]], None)
 
 
 def test_bench_info_unknown_function(tmp_path, capsys):

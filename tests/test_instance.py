@@ -1,8 +1,12 @@
-import base64
 import copy
 import functools
 import json
+import os
 import pickle
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,28 +194,6 @@ def test_shift_maps_to_zero(fid):
     assert inst.evaluate(inst.shift) == 0.0
 
 
-def _encode(a):
-    return base64.b64encode(np.ascontiguousarray(a).tobytes()).decode("ascii")
-
-
-def _floats(text):
-    return np.frombuffer(base64.b64decode(text), dtype=np.float64)
-
-
-def _truncate(text):
-    # drop one 4-character base64 group: valid base64, 3 bytes short
-    return text[:-8] + text[-4:]
-
-
-def _set_second(value):
-    # the encoded float64 array with its second value replaced
-    def corrupt(text):
-        a = _floats(text).copy()
-        a[1] = value
-        return _encode(a)
-    return corrupt
-
-
 def _edit(*path, to):
     """The corruption that replaces the descriptor entry at path by
     to(entry); the empty path replaces the whole descriptor."""
@@ -242,102 +224,93 @@ def _differs(field):
     return f"descriptor {field} differs from that of make_instance"
 
 
+def _flip_last(hex_digest):
+    return hex_digest[:-1] + ("0" if hex_digest[-1] != "0" else "1")
+
+
 @pytest.mark.parametrize("fid, corrupt, message", [
-    ("F8", _edit("permutation", to=_truncate), _differs("permutation")),
-    ("F8", _edit("shift", to=_truncate), _differs("shift")),
-    ("F14", _edit("subcomponents", 1, "shift", to=_truncate), _differs("subcomponents")),
     ("F8", _edit("irregularity", to=lambda _: "no"), _differs("irregularity")),
-    ("F8", _edit("subcomponents", 0, "rotated", to=lambda _: "false"),
-     _differs("subcomponents")),
+    ("F8", _edit("rotated", to=lambda _: "false"), _differs("rotated")),
     ("F8", _edit("irregularity", to=lambda _: False), _differs("irregularity")),
     ("F4", _edit("conditioning_alpha", to=lambda _: 1.0), _differs("conditioning_alpha")),
-    ("F8", _edit("subcomponents", 0, "rotated", to=lambda _: False),
-     _differs("subcomponents")),
+    ("F8", _edit("rotated", to=lambda _: False), _differs("rotated")),
+    ("F1", _edit("rotated", to=lambda _: True), _differs("rotated")),
     ("F1", _edit("bounds", to=lambda _: [-5.0, 5.0]), _differs("bounds")),
-    ("F8", _edit("shift", to=_set_second(np.nan)), _differs("shift")),
-    ("F8", _edit("shift", to=_set_second(-np.inf)), _differs("shift")),
-    ("F14", _edit("subcomponents", 1, "shift", to=_set_second(np.nan)),
-     _differs("subcomponents")),
-    ("F8", _edit("subcomponents", 2, "weight", to=lambda _: -1.0),
-     _differs("subcomponents")),
-    ("F8", _edit("subcomponents", 2, "weight", to=lambda _: 0.0),
-     _differs("subcomponents")),
-    ("F8", _edit("subcomponents", 2, "weight", to=lambda _: float("nan")),
-     _differs("subcomponents")),
-    ("F4", _edit("subcomponents", 0, "weight", to=lambda _: float("inf")),
-     _differs("subcomponents")),
-    ("F8", _edit("permutation", to=lambda _: _encode(np.zeros(DESK_DIM, dtype=np.int64))),
-     _differs("permutation")),
-    ("F8", _edit("subcomponents", to=lambda subs: subs[:-1]), _differs("subcomponents")),
+    ("F8", _edit("format", to=lambda _: "lsgo-hybrid-instance/1"), _differs("format")),
+    ("F8", _edit("weights", 2, to=lambda _: -1.0), _differs("weights")),
+    ("F8", _edit("weights", 2, to=lambda _: 0.0), _differs("weights")),
+    ("F8", _edit("weights", 2, to=lambda _: float("nan")), _differs("weights")),
+    ("F4", _edit("weights", 0, to=lambda _: float("inf")), _differs("weights")),
+    ("F8", _edit("weights", to=lambda weights: weights[:-1]), _differs("weights")),
+    ("F8", _edit("layout", to=lambda layout: layout[:-1]), _differs("layout")),
     ("F4", _edit("tail", to=lambda _: None), _differs("tail")),
     # the first block then overlaps its neighbour, the last one leaves [0, 50)
-    ("F8", _edit("subcomponents", 0, "size", to=_plus_one), _differs("subcomponents")),
-    ("F8", _edit("subcomponents", -1, "size", to=_plus_one), _differs("subcomponents")),
-    ("F4", _edit("tail", "start", to=_plus_one), _differs("tail")),
-    ("F13", _edit("subcomponents", 0, "start", to=lambda _: -1),
-     _differs("subcomponents")),
-    ("F8", _edit("shift", to=lambda text: _encode(_floats(text)[:-1])),
-     _differs("shift")),
-    ("F14", _edit("subcomponents", 1, "shift",
-                  to=lambda text: _encode(_floats(text)[1:])),
-     _differs("subcomponents")),
-    ("F14", _edit("subcomponents", 1, "shift", to=lambda _: None),
-     _differs("subcomponents")),
-    # per-block shifts on F8 once passed, and its "optimum" then evaluated to 3.9e7
-    ("F8", _edit("subcomponents", to=lambda subs: [
-        {**entry, "shift": _encode(np.ones(entry["size"]))} for entry in subs]),
-     _differs("subcomponents")),
-    ("F8", _edit("shift", to=lambda _: None), _differs("shift")),
-    ("F14", _edit("shift", to=lambda _: _encode(np.zeros(DESK_DIM))), _differs("shift")),
+    ("F8", _edit("layout", 0, 1, to=_plus_one), _differs("layout")),
+    ("F8", _edit("layout", -1, 1, to=_plus_one), _differs("layout")),
+    ("F4", _edit("tail", 0, to=_plus_one), _differs("tail")),
+    ("F13", _edit("layout", 0, 0, to=lambda _: -1), _differs("layout")),
+    ("F8", _edit("layout", to=lambda layout: [
+        {"start": start, "size": size} for start, size in layout]), _differs("layout")),
+    ("F8", _edit("digest", "arrays", to=_flip_last), _differs("digest")),
+    ("F14", _edit("digest", "arrays", to=_flip_last), _differs("digest")),
+    ("F8", _edit("digest", "rotations", to=_flip_last), _differs("digest")),
+    ("F8", _edit("digest", to=lambda digest: digest["arrays"]), _differs("digest")),
+    ("F8", _drop("digest"), "descriptor has no digest field"),
     ("F8", _drop("seed"), "descriptor has no seed field"),
-    ("F8", _drop("permutation"), "descriptor has no permutation field"),
+    ("F8", _drop("layout"), "descriptor has no layout field"),
+    ("F4", _drop("tail"), "descriptor has no tail field"),
     ("F8", _edit(to=lambda _: []), "descriptor must be a JSON object, not list"),
     ("F8", _edit(to=lambda _: None), "descriptor must be a JSON object, not NoneType"),
     ("F8", _edit("seed", to=lambda _: 3.9),
      "descriptor seed must be of type int, got 3.9"),
-    # seed 4's rotations with seed 3's shifts: an instance no seed generates
+    # seed 4 has the layout of seed 3 but its own weights and arrays
     ("F8", _edit("seed", to=_plus_one),
-     r"descriptor permutation differs from that of make_instance\('F8', 50, 4\)"),
+     r"descriptor weights differs from that of make_instance\('F8', 50, 4\)"),
+    ("F14", _edit("seed", to=_plus_one),
+     r"descriptor weights differs from that of make_instance\('F14', 50, 4\)"),
     ("F8", _edit("function_id", to=lambda fid: [fid]),
      r"descriptor function_id must be of type str, got \['F8'\]"),
     ("F8", _edit("dimension", to=lambda _: True),
      "descriptor dimension must be of type int, got True"),
     ("F8", lambda desc: {**desc, "comment": "hand-edited"},
      "descriptor has an unknown field 'comment'"),
-], ids=["truncated-permutation", "truncated-shift", "truncated-local-shift",
-        "string-irregularity", "string-rotated", "table-irregularity",
-        "table-conditioning-alpha", "table-rotated", "table-bounds",
-        "nan-shift", "infinite-shift", "nan-local-shift", "negative-weight",
-        "zero-weight", "nan-weight", "infinite-weight",
-        "bad-permutation", "missing-block", "missing-tail", "overlapping-block",
+    # a field of the first descriptor format
+    ("F8", lambda desc: {**desc, "permutation": ""},
+     "descriptor has an unknown field 'permutation'"),
+], ids=["string-irregularity", "string-rotated", "table-irregularity",
+        "table-conditioning-alpha", "table-rotated", "rotated-separable", "table-bounds",
+        "first-format", "negative-weight", "zero-weight", "nan-weight", "infinite-weight",
+        "missing-weight", "missing-block", "missing-tail", "overlapping-block",
         "block-past-dimension", "tail-past-dimension", "negative-block-start",
-        "short-shift", "short-local-shift", "missing-local-shift",
-        "local-shifts-on-partial", "missing-shift", "global-shift-on-chain",
-        "missing-seed", "missing-permutation", "list", "null", "fractional-seed",
-        "another-seed", "list-function-id", "bool-dimension", "unknown-field"])
+        "block-objects", "arrays-digest", "chain-arrays-digest", "rotations-digest",
+        "digest-string", "missing-digest", "missing-seed", "missing-layout",
+        "missing-tail-field", "list", "null", "fractional-seed", "another-seed",
+        "another-chain-seed", "list-function-id", "bool-dimension", "unknown-field",
+        "first-format-field"])
 def test_descriptor_rejects_malformed_field(fid, corrupt, message):
     desc = corrupt(make_instance(fid, DESK_DIM, 3).to_descriptor())
     with pytest.raises(ValueError, match=message):
         from_json(json.dumps(desc))
 
 
-@pytest.mark.parametrize("corrupt, dimension", [
-    (_edit("dimension", to=lambda _: 2000), 2000),
-    (_edit("dimension", to=_plus_one), DESK_DIM + 1),
-    (_edit("dimension", to=lambda _: 10), 10),
-    (_edit("permutation", to=lambda text: list(text)), DESK_DIM),
-], ids=["dimension-2000", "dimension-plus-one", "dimension-10", "list-permutation"])
-def test_a_permutation_unfit_for_the_dimension_is_refused_before_building(
-        monkeypatch, corrupt, dimension):
-    desc = corrupt(make_instance("F15", DESK_DIM, 3).to_descriptor())
+@pytest.mark.parametrize("fid", ["F4", "F8", "F13", "F15"])
+@pytest.mark.parametrize("dimension", [2000, DESK_DIM + 1, 10, 10**30],
+                         ids=["dimension-2000", "dimension-plus-one", "dimension-10",
+                              "dimension-1e30"])
+def test_an_edited_dimension_is_refused_before_building(
+        monkeypatch, fid, dimension):
+    desc = make_instance(fid, DESK_DIM, 3).to_descriptor()
+    desc["dimension"] = dimension
 
     def build(*args):
         raise AssertionError("from_descriptor built an instance")
 
     monkeypatch.setattr(instance_mod, "make_instance", build)
-    with pytest.raises(ValueError, match=r"descriptor permutation differs from that of "
-                                         rf"make_instance\('F15', {dimension}, 3\)"):
-        from_json(json.dumps(desc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"descriptor (layout|tail) differs from "
+                                             rf"that of make_instance\('{fid}', {dimension}, 3\)"):
+            from_json(json.dumps(desc))
 
 
 @functools.cache
@@ -582,6 +555,75 @@ def test_descriptor_round_trip_preserves_evaluations():
         for _ in range(20):
             x = rng.uniform(lo, hi, size=30)
             assert clone.evaluate(x) == inst.evaluate(x)
+
+
+@pytest.mark.parametrize("fid, dim", [(fid, DESK_DIM) for fid in FUNCTION_IDS]
+                         + [("F8", 1000), ("F14", 1000), ("F15", 1000)])
+def test_from_json_rebuilds_the_same_bits(fid, dim):
+    inst = make_instance(fid, dim, 0)
+    text = inst.to_json()
+    clone = from_json(text)
+    assert clone.to_json() == text
+    x = np.random.default_rng(4).uniform(*inst.bounds, size=(2 * G + 3, dim))
+    assert np.array_equal(clone.evaluate_batch(x), inst.evaluate_batch(x))
+
+
+@pytest.mark.parametrize("fid", ["F8", "F14"])
+def test_digest_separates_the_generated_arrays_from_the_rotations(fid):
+    inst = make_instance(fid, DESK_DIM, 6)
+    digest = inst.digest()
+    assert digest == make_instance(fid, DESK_DIM, 6).digest()
+    edits = [("permutation", lambda dup: setattr(dup, "permutation", dup.permutation[::-1])),
+             ("weight", lambda dup: setattr(dup.subcomponents[-1], "weight", 1.0)),
+             ("rotation", lambda dup: setattr(dup.subcomponents[-1], "rotation",
+                                              -dup.subcomponents[-1].rotation))]
+    if inst.shift is not None:
+        edits.append(("shift", lambda dup: setattr(dup, "shift", dup.shift + 1.0)))
+    else:
+        edits.append(("local shift", lambda dup: setattr(
+            dup.subcomponents[0], "local_shift", dup.subcomponents[0].local_shift + 1.0)))
+    for name, edit in edits:
+        dup = copy.deepcopy(inst)
+        edit(dup)
+        changed = dup.digest()
+        part = "rotations" if name == "rotation" else "arrays"
+        other = "arrays" if part == "rotations" else "rotations"
+        assert changed[part] != digest[part], name
+        assert changed[other] == digest[other], name
+
+
+_SRC = Path(instance_mod.__file__).resolve().parents[2]
+
+
+def _python(code, threads, stdin=None):
+    """stdout of `code` run by a fresh interpreter at a BLAS thread count."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], input=stdin, env=env, text=True,
+                          capture_output=True, check=True).stdout
+
+
+def test_a_descriptor_from_another_blas_thread_count_is_refused():
+    # F15's 1000-row QR rounds differently at one and two OpenBLAS threads
+    text = _python("from lsgo_hybrid import make_instance\n"
+                   "print(make_instance('F15', 1000, 0).to_json())", threads=2)
+    report = json.loads(_python(
+        "import json, sys\n"
+        "from lsgo_hybrid import from_json, make_instance\n"
+        "text = sys.stdin.read()\n"
+        "report = {'digest': make_instance('F15', 1000, 0).digest()}\n"
+        "try:\n"
+        "    from_json(text)\n"
+        "except ValueError as exc:\n"
+        "    report['error'] = str(exc)\n"
+        "print(json.dumps(report))", threads=1, stdin=text))
+    written = json.loads(text)["digest"]
+    assert report["digest"]["arrays"] == written["arrays"]
+    if report["digest"]["rotations"] == written["rotations"]:
+        pytest.skip("this machine builds F15's D=1000 rotations with the same bits at "
+                    "one and two BLAS threads")
+    assert report["error"] == ("descriptor digest differs from that of "
+                               "make_instance('F15', 1000, 0)")
 
 
 @pytest.mark.parametrize("dim, seed", [(10, 20), (20, 3), (50, 1), (100, 3), (1000, 2)])
