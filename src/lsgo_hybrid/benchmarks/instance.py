@@ -22,27 +22,36 @@ Evaluation has one x -> z path, and it evaluates rows in groups of G.
 chains appear once per block) and precomputes the gather index, shift,
 skew slopes and conditioning weights in that layout. One group of at most G
 rows is gathered and shifted into a C-ordered buffer of one row per
-candidate; each rotated block is rotated as R @ Y.T, where Y is that
-block's columns of a G-row buffer whose unused rows are zero; the
+candidate; each rotated block is rotated by one matrix product over Y,
+that block's columns of a G-row buffer whose unused rows are zero; the
 oscillation and skew maps run as one log-space pass over the whole buffer;
 and the weighted base function of each block is a row-wise reduction. For
 the elliptic base the value is a single row sum of z*z times one vector
 that folds each block's weight, its elliptic weights and its squared
 conditioning weights. `evaluate(x)` is
 the one-row case, so a lone evaluation gives the same bits as that row of
-any batch. The rotation product has one of two widths: a group of at most
-G // 2 rows multiplies a rotation of at least `_HALF_WIDTH_ROWS` (256) rows
-by the buffer's first G // 2 rows, and every other group and block takes
-all G rows. A column of the product depends neither on its position nor on
-the other columns, nor, from 256 rows up, on which width it was computed
-at (tests check the first for every rotated block size and the second for
-every one of 256 rows or more, as a BLAS could break them; Y @ R.T is not
-invariant at one BLAS thread). The threshold exists because smaller
-blocks, such as the 91- to 100-row blocks, run OpenBLAS's small-matrix
-kernel, whose columns change bits between the two widths. The maps and row
-reductions treat each row alone. Every step after the gather writes into
-the call's own buffers, and nothing is stored on the instance between
-calls.
+any batch.
+
+The rotation product has two forms. Most blocks take the column form
+R @ Y.T, at one of two widths: a group of at most G // 2 rows multiplies a
+rotation of at least `_HALF_WIDTH_ROWS` (256) rows by the buffer's first
+G // 2 rows, and every other group and block takes all G rows. A column of
+that product depends neither on its position nor on the other columns, nor,
+from 256 rows up, on which width it was computed at. The threshold exists
+because smaller blocks, such as the 91- to 100-row blocks, run OpenBLAS's
+small-matrix kernel, whose columns change bits between the two widths.
+A block of at least `_ROW_MAJOR_ROWS` (1000) rows whose row count is a
+multiple of 8 (at dimension 1000, F15's one block) takes the row form
+Y[:w] @ R.T instead, w being the group's row count rounded up to a
+multiple of 4: OpenBLAS then packs R as the B operand, which is cheaper
+once R no longer fits in L2. Each row of it has the bits of its column of
+R @ Y.T at any position and width. At one BLAS thread that holds only when
+the row count is a multiple of 8: at 1004 rows a row's bits depend on its
+position. Tests check all of this for every rotated block size the layouts
+make and for 1004, 1008 and 2000 rows, as a BLAS could break it.
+The maps and row reductions treat each row alone. Every step after the
+gather writes into the call's own buffers, and nothing is stored on the
+instance between calls.
 """
 
 from __future__ import annotations
@@ -64,13 +73,29 @@ from .transforms import (
 
 _DESCRIPTOR_FORMAT = "lsgo-hybrid-instance/2"
 
-# Rows per evaluation group; a rotation product has G or G // 2 columns.
+# Rows per evaluation group; a column-form rotation product has G or G // 2
+# columns.
 G = 16
 
 # Rotations of at least this many rows multiply a group of m <= G // 2 rows
 # by G // 2 columns, where a column has the same bits at either width; below
 # about 150 rows OpenBLAS's small-matrix kernel changes them.
 _HALF_WIDTH_ROWS = 256
+
+# Rotations of at least this many rows, whose row count is a multiple of 8,
+# are applied row-major, as Y[:w] @ R.T with w the group's row count rounded
+# up to a multiple of 4: OpenBLAS then packs R as the B operand, which is
+# cheaper once R no longer fits in L2 (from about 1000 rows at 8 and 16
+# columns). A row of that product has the bits of its column of R @ Y.T; at
+# one BLAS thread it depends on its position unless the row count is a
+# multiple of 8 (1004 rows fail).
+_ROW_MAJOR_ROWS = 1000
+
+
+def _row_major(n: int) -> bool:
+    """Whether an n-row rotation is applied as Y @ R.T rather than R @ Y.T."""
+    return n >= _ROW_MAJOR_ROWS and n % 8 == 0
+
 
 # Canonical block-size proportions; literal sizes at dimension 1000 for the
 # tailed family (550 non-separable coordinates plus a 450-coordinate tail).
@@ -157,6 +182,8 @@ def _block_sizes(span: int, n: int) -> np.ndarray:
 
 def _layout(family: str, d: int):
     """Return (list of (start, size), tail (start, size) or None)."""
+    if d > np.iinfo(np.int64).max:
+        raise ValueError(f"dimension {d} does not fit a 64-bit index")
     if family in ("separable", "nonseparable"):
         return [(0, d)], None
     if family in ("partial", "partial_tail"):
@@ -354,8 +381,12 @@ class BenchmarkInstance:
             np.take(x, self._gather, axis=1, out=z, mode="clip")
         z -= self._shift
         for a, b, rotation in self._rotations:
-            y = padded[: G // 2] if m <= G // 2 and b - a >= _HALF_WIDTH_ROWS else padded
-            z[:, a:b] = (rotation @ y[:, a:b].T)[:, :m].T
+            if _row_major(b - a):
+                w = -(-m // 4) * 4
+                z[:, a:b] = (padded[:w, a:b] @ rotation.T)[:m]
+            else:
+                y = padded[: G // 2] if m <= G // 2 and b - a >= _HALF_WIDTH_ROWS else padded
+                z[:, a:b] = (rotation @ y[:, a:b].T)[:, :m].T
         if self._slope is not None:
             oscillate_skew_inplace(z, self._slope)
         if self._row_weights is not None:
@@ -548,9 +579,8 @@ def from_descriptor(desc: dict) -> BenchmarkInstance:
     # every layout ends at its dimension, and none fits one `_layout` refuses
     if (fspec := _FUNCTIONS.get(desc["function_id"])) is not None:
         try:
-            with np.errstate(all="raise"):
-                blocks, tail = _layout(fspec.family, desc["dimension"])
-        except (ValueError, ArithmeticError):
+            blocks, tail = _layout(fspec.family, desc["dimension"])
+        except ValueError:
             raise ValueError(f"descriptor layout differs from that of {source}") from None
         check({"layout": [list(b) for b in blocks], "tail": list(tail) if tail else None})
     instance = make_instance(desc["function_id"], desc["dimension"], desc["seed"])

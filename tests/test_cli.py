@@ -475,6 +475,19 @@ def test_bench_info_unknown_function(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["run", "--functions", "F4", "--dim", str(10**30), "--runs", "1"],
+    # 8e18 bytes of permutation: no overcommit policy grants that allocation
+    ["bench-info", "--function", "F15", "--dim", str(10**18)],
+], ids=["run-1e30", "bench-info-1e18"])
+def test_an_unbuildable_dimension_fails_with_one_error_line(tmp_path, capsys, args):
+    assert main(args + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert args[args.index("--dim") + 1] in err
+
+
 def test_audit_matches_exactly_and_catches_a_changed_summary(tmp_path):
     out = tmp_path / "exp"
     # five runs per function give a mean and a stddev of five rounded inputs

@@ -482,6 +482,13 @@ def test_layout_tiles_every_dimension(family):
         assert ends[-1] == d, (family, d)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_dimension_past_a_64_bit_index_is_refused_by_name():
+    for fid in ("F1", "F4", "F8", "F13", "F15"):
+        with pytest.raises(ValueError, match=rf"^dimension {10**30} does not fit a 64-bit index$"):
+            make_instance(fid, 10**30, 0)
+
+
 def test_bounds_follow_the_base_function():
     assert make_instance("F1", 50, 0).bounds == (-100.0, 100.0)
     assert make_instance("F2", 50, 0).bounds == (-5.0, 5.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
-from lsgo_hybrid.benchmarks.instance import _HALF_WIDTH_ROWS, G
+from lsgo_hybrid.benchmarks.instance import _HALF_WIDTH_ROWS, G, _row_major
 from lsgo_hybrid.benchmarks import oscillate
 from lsgo_hybrid.benchmarks.transforms import half_sin_inplace, oscillate_skew_inplace
 
@@ -99,6 +99,37 @@ def test_half_width_product_columns_equal_the_full_products(n):
             y = neighbours[:, 3 : 3 + n]
             full = q @ y.T
             assert np.array_equal(q @ y[: G // 2].T, full[:, : G // 2]), (n, pos)
+
+
+_ROW_MAJOR_SIZES = [n for n in sorted({1000, 1004, 1008, 2000, *_SIZES}) if _row_major(n)]
+
+
+def test_only_f15s_block_is_rotated_row_major_at_the_layouts_sizes():
+    # so serial-d1000-dense runs the row form and serial-d1000-blocks does not
+    assert [n for n in _SIZES if _row_major(n)] == [1000]
+
+
+@pytest.mark.parametrize("n", _ROW_MAJOR_SIZES)
+def test_row_major_product_row_equals_the_column_product(n):
+    # A rotation the size rule picks is applied as Y[:w] @ R.T, w being the
+    # group's row count rounded up to a multiple of 4. Each row of that product
+    # must have the bits of its column of R @ Y.T at every position, width and
+    # neighbourhood, or the two forms would give different values. At one
+    # OpenBLAS thread a row count that is not a multiple of 8 (1004) fails.
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v = rng.uniform(-100.0, 100.0, size=n)
+    alone = np.zeros((G, n + 7))
+    alone[0, 3 : 3 + n] = v
+    expected = (q @ alone[:, 3 : 3 + n].T)[:, 0]
+    for w in (4, 8, 12, 16):
+        for pos in range(w):
+            for neighbours in (np.zeros((G, n + 7)), rng.uniform(-100.0, 100.0, (G, n + 7))):
+                neighbours[pos, 3 : 3 + n] = v
+                y = neighbours[:, 3 : 3 + n]
+                row = (y[:w] @ q.T)[pos]
+                assert np.array_equal(row, expected), (n, w, pos)
+                assert np.array_equal(row, (q @ y.T)[:, pos]), (n, w, pos)
 
 
 def _sin_arguments(n, seed):
