@@ -60,6 +60,7 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -102,10 +103,6 @@ def _row_major(n: int) -> bool:
 _CANON = (50, 50, 25, 25, 100, 100, 200)
 _MIN_SIZE = 5
 MIN_DIMENSION = 10
-
-# Fraction of the dimension covered by the non-separable blocks when a
-# separable tail is present (550 of 1000).
-_TAIL_SPLIT = 0.55
 
 
 @dataclass(frozen=True)
@@ -151,50 +148,49 @@ _FID_INDEX = {fid: i + 1 for i, fid in enumerate(FUNCTION_IDS)}
 # -- layout ------------------------------------------------------------------
 
 
-def _largest_remainder(total: int, weights) -> np.ndarray:
-    """Integer allocation of `total` proportional to weights, exact sum."""
-    w = np.asarray(weights, dtype=float)
-    quota = total * w / w.sum()
-    sizes = np.floor(quota).astype(int)
-    leftover = total - int(sizes.sum())
-    order = np.argsort(-(quota - sizes), kind="stable")
-    sizes[order[:leftover]] += 1
+def _largest_remainder(total: int, weights) -> list[int]:
+    """Integer allocation of `total` proportional to the integer weights,
+    exact sum: the largest remainders take the leftover, ties the earlier."""
+    parts = [divmod(total * w, sum(weights)) for w in weights]
+    sizes = [q for q, _r in parts]
+    order = sorted(range(len(parts)), key=lambda i: -parts[i][1])
+    for i in order[:total - sum(sizes)]:
+        sizes[i] += 1
     return sizes
 
 
-def _enforce_min(sizes: np.ndarray, min_size: int) -> np.ndarray:
-    """Raise undersized blocks to min_size, taking the slack from the largest."""
-    sizes = sizes.copy()
-    for i in range(sizes.size):
+def _enforce_min(sizes: list[int], min_size: int) -> list[int]:
+    """Raise undersized blocks to min_size, taking the slack from the largest.
+    The caller keeps len(sizes) * min_size <= sum(sizes), so there is slack."""
+    for i in range(len(sizes)):
         while sizes[i] < min_size:
-            j = int(np.argmax(sizes))
+            j = sizes.index(max(sizes))
             move = min(min_size - sizes[i], sizes[j] - min_size)
-            if move <= 0:
-                raise ValueError("dimension too small for the block layout")
             sizes[j] -= move
             sizes[i] += move
     return sizes
 
 
-def _block_sizes(span: int, n: int) -> np.ndarray:
+def _block_sizes(span: int, n: int) -> list[int]:
     return _enforce_min(_largest_remainder(span, _CANON[:n]), _MIN_SIZE)
 
 
 def _layout(family: str, d: int):
-    """Return (list of (start, size), tail (start, size) or None)."""
-    if d > np.iinfo(np.int64).max:
+    """Return (list of (start, size), tail (start, size) or None). The one
+    judge of a dimension: make_instance, from_descriptor and `run` ask it.
+    Its sizes are exact integers, so every layout it returns ends at d."""
+    if d < MIN_DIMENSION:
+        raise ValueError(f"dimension must be at least {MIN_DIMENSION}, got {d}")
+    if d > 2**63 - 1:
         raise ValueError(f"dimension {d} does not fit a 64-bit index")
     if family in ("separable", "nonseparable"):
         return [(0, d)], None
     if family in ("partial", "partial_tail"):
-        span = d if family == "partial" else int(_TAIL_SPLIT * d + 0.5)
-        n = min(len(_CANON), span // _MIN_SIZE)
-        if n < 1:
-            raise ValueError(f"dimension {d} leaves no room for a rotated block")
-        sizes = _block_sizes(span, n)
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        # with a separable tail, the blocks cover 11/20 of d rounded half up
+        span = d if family == "partial" else (11 * d + 10) // 20
+        sizes = _block_sizes(span, min(len(_CANON), span // _MIN_SIZE))
         tail = (span, d - span) if d > span else None
-        return list(zip(starts.tolist(), sizes.tolist())), tail
+        return list(zip(accumulate(sizes[:-1], initial=0), sizes)), tail
     if family in ("overlap_conforming", "overlap_conflicting"):
         n = min(len(_CANON), max(2, d // _MIN_SIZE))
         overlap = max(1, (d // n) // 10)
@@ -203,10 +199,8 @@ def _layout(family: str, d: int):
             overlap = max(1, (d // n) // 10)
         # the sizes sum to d + (n - 1) * overlap, so the last block ends at d
         sizes = _block_sizes(d + (n - 1) * overlap, n)
-        if overlap >= int(sizes.min()):
-            raise ValueError("dimension too small for overlapping blocks")
-        starts = np.concatenate([[0], np.cumsum(sizes - overlap)[:-1]])
-        return list(zip(starts.tolist(), sizes.tolist())), None
+        starts = accumulate((s - overlap for s in sizes[:-1]), initial=0)
+        return list(zip(starts, sizes)), None
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -487,8 +481,6 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
             f"unknown function id {function_id!r}; expected F1..F{len(_FUNCTIONS)}"
         )
     dimension = int(dimension)
-    if dimension < MIN_DIMENSION:
-        raise ValueError(f"dimension must be at least {MIN_DIMENSION}")
     fspec = _FUNCTIONS[function_id]
     sub_layout, tail_layout = _layout(fspec.family, dimension)
     root = np.random.SeedSequence(

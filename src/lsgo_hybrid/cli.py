@@ -24,7 +24,6 @@ from pathlib import Path
 
 from . import __version__
 from .benchmarks import FUNCTION_IDS, make_instance
-from .benchmarks.instance import MIN_DIMENSION
 from .hybrid import HybridConfig, fe_budget, final_stats, run_batch, scaled
 from .stats.fixture import METRICS, read_results, reference_median_matrix
 from .stats.report import format_text, full_report, write_report
@@ -109,14 +108,18 @@ def _resolve_params(source: str, function_id: str, dimension: int) -> ParamVecto
                 )
         return params
     if source.startswith("explicit:"):
+        where = f"--params {source}"
         parts = source[len("explicit:"):].split(",")
         if len(parts) != 3:
-            raise ValueError(
-                "explicit parameters must be three comma-separated values: "
-                "explicit:PAR,CR,F"
-            )
-        par, cr, f = (float(p) for p in parts)
-        return ParamVector(par=par, cr=cr, f=f)
+            raise ValueError(f"{where} must be three comma-separated values: "
+                             "explicit:PAR,CR,F")
+        values = {}
+        for key, text in zip(("par", "cr", "f"), parts):
+            try:
+                values[key] = float(text)
+            except ValueError:
+                raise ValueError(f"{where} has non-numeric {key} {text!r}") from None
+        return read_param_vector(values, where)
     raise ValueError(
         f"unknown --params source {source!r}; "
         "use table2b, tuned:FILE, or explicit:PAR,CR,F"
@@ -158,15 +161,12 @@ def cmd_run(args) -> int:
                          f"got {args.parallel}")
     if args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
-    if args.dim < MIN_DIMENSION:
-        raise ValueError(f"--dim must be at least {MIN_DIMENSION}, got {args.dim}")
     functions = parse_function_list(args.functions)
     try:
         checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
     except ValueError:
         raise ValueError("--checkpoints must be comma-separated integers, "
                          f"got {args.checkpoints!r}") from None
-    out = _out_dir(args)
 
     base = HybridConfig(checkpoints=checkpoints, seed=args.seed)
     if args.budget_scale != 1.0:
@@ -178,6 +178,10 @@ def cmd_run(args) -> int:
     # source fails at once rather than after hours of finished runs
     configs = {fid: hybrid_config_for(_resolve_params(args.params, fid, args.dim), base)
                for fid in functions}
+    # likewise build every instance: make_instance refuses a dimension its
+    # layout cannot take, and only then is --out created and runs.csv opened
+    instances = {fid: make_instance(fid, args.dim, args.seed) for fid in functions}
+    out = _out_dir(args)
     # hash the resolved configs, not the --params text, so editing a tuned
     # file changes the hash and equal values reached two ways share one
     config_hash = _config_hash({
@@ -204,7 +208,7 @@ def cmd_run(args) -> int:
         writer.writerow(header)
         fh.flush()
         for fid in sorted(functions, key=_FID_NUM.get):
-            results, summary = run_batch((fid, args.dim, args.seed), configs[fid],
+            results, summary = run_batch(instances[fid], configs[fid],
                                          n_runs=args.runs, workers=workers)
             summaries[fid] = summary
             for r in results:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .benchmarks import BenchmarkInstance, make_instance
+from .benchmarks import BenchmarkInstance
 from .de import DeParams, de_run
 from .harmony import HarmonyParams, harmony_run
 from .population import Candidate, Population
@@ -166,22 +166,17 @@ def _batch_worker(args) -> RunResult:
     return run(instance.fresh_copy(), config, run_index)
 
 
-def run_batch(instance_spec, config: HybridConfig, n_runs: int, workers: int = 1):
+def run_batch(instance: BenchmarkInstance, config: HybridConfig, n_runs: int,
+              workers: int = 1):
     """Independent runs on one instance; returns (results, summary), where
     summary is the `final_stats` of the runs' final best values.
 
-    `instance_spec` is (function_id, dimension, instance_seed) or an
-    already-built instance. Run i draws its stream from (config.seed, i),
-    so the batch is deterministic for any worker count.
+    Each run evaluates a `fresh_copy` of `instance`. Run i draws its stream
+    from (config.seed, i), so the batch is deterministic for any worker count.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    if isinstance(instance_spec, BenchmarkInstance):
-        proto = instance_spec
-    else:
-        fid, dim, iseed = instance_spec
-        proto = make_instance(fid, dim, iseed)
-    tasks = [(proto, config, i) for i in range(n_runs)]
+    tasks = [(instance, config, i) for i in range(n_runs)]
     # a forking pool starts all its workers at the first submit, so never
     # ask for more than there are runs
     workers = min(workers, n_runs)

@@ -71,8 +71,8 @@ class TunerConfig:
 
 
 def read_param_vector(payload, where: str) -> ParamVector:
-    """The triple of a JSON object read from a file; `where` names the file
-    in the error raised for a non-object or a missing or non-numeric field."""
+    """The triple of a JSON object; `where` names its source in the error
+    raised for a non-object or a missing, non-numeric or out-of-range field."""
     if not isinstance(payload, dict):
         raise ValueError(f"{where} must hold a JSON object, "
                          f"not a {type(payload).__name__}")
@@ -84,7 +84,10 @@ def read_param_vector(payload, where: str) -> ParamVector:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{where} has non-numeric {key} {value!r}")
         values[key] = float(value)
-    return ParamVector(**values)
+    try:
+        return ParamVector(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where} has {exc}") from None
 
 
 def load_specialist_params(function_id: str) -> ParamVector:

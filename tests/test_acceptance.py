@@ -196,7 +196,7 @@ def test_criterion_5_reduced_budget_convergence():
         config = scaled(HybridConfig(), 0.05)
         assert fe_budget(config) == 150_000
         start = time.perf_counter()
-        results, _summary = run_batch(("F1", 50, 0), config, n_runs=5)
+        results, _summary = run_batch(make_instance("F1", 50, 0), config, n_runs=5)
         elapsed = time.perf_counter() - start
         assert elapsed <= 600, f"5 runs took {elapsed:.0f}s"
         assert max(r.wall_time_s for r in results) <= 120

@@ -148,19 +148,22 @@ def test_run_rejects_a_negative_parallel_before_writing(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--runs", "0", "--runs must be at least 1, got 0"),
-    ("--dim", "5", "--dim must be at least 10, got 5"),
-], ids=["runs-0", "dim-5"])
+    ("--dim", "5", "dimension must be at least 10, got 5"),
+    ("--dim", str(10**30), f"dimension {10**30} does not fit a 64-bit index"),
+], ids=["runs-0", "dim-5", "dim-1e30"])
 def test_run_rejects_a_bad_count_before_touching_runs_csv(tmp_path, capsys, flag,
                                                            value, message):
     out = tmp_path / "exp"
     out.mkdir()
-    earlier = "function_id,dim,seed\nF1,10,0\n"
-    (out / "runs.csv").write_text(earlier, encoding="utf-8")
-    args = TINY_RUN + ["--functions", "F1", "--out", str(out)]
-    args[args.index(flag) + 1] = value
-    assert main(args) == 1
-    assert f"error: {message}" in capsys.readouterr().err
-    assert (out / "runs.csv").read_text(encoding="utf-8") == earlier
+    earlier = b"function_id,dim,seed\r\nF1,10,0\r\n"
+    (out / "runs.csv").write_bytes(earlier)
+    for target in (out, tmp_path / "fresh"):
+        args = TINY_RUN + ["--functions", "F4", "--out", str(target)]
+        args[args.index(flag) + 1] = value
+        assert main(args) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert (out / "runs.csv").read_bytes() == earlier
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_cli_defaults_are_the_config_defaults():
@@ -355,6 +358,28 @@ def test_run_rejects_malformed_tuned_file(tmp_path, capsys, text, field):
     err = capsys.readouterr().err
     assert err.startswith(f"error: tuned file {tuned} ")
     assert field in err
+
+
+@pytest.mark.parametrize("params, message", [
+    ("tuned:{tuned}", "tuned file {tuned} has par=1.2 outside [0.0, 1.0]"),
+    ("explicit:0.5,abc,0.5", "--params explicit:0.5,abc,0.5 has non-numeric cr 'abc'"),
+    ("explicit:0.5,1.5,0.5", "--params explicit:0.5,1.5,0.5 has cr=1.5 outside [0.0, 1.0]"),
+    ("explicit:0.5,0.5,-1", "--params explicit:0.5,0.5,-1 has f=-1.0 outside [0.0, 2.0]"),
+    ("explicit:0.5,0.5", "--params explicit:0.5,0.5 must be three comma-separated values"),
+], ids=["tuned-out-of-range", "explicit-non-numeric", "explicit-out-of-range",
+        "explicit-negative-f", "explicit-two-values"])
+def test_run_names_the_source_of_a_refused_params_value(tmp_path, capsys, params,
+                                                         message):
+    tuned = tmp_path / "tuned.json"
+    tuned.write_text('{"par": 1.2, "cr": 0.5, "f": 0.5}')
+    out = tmp_path / "exp"
+    out.mkdir()
+    earlier = b"function_id,dim,seed\r\nF1,10,0\r\n"
+    (out / "runs.csv").write_bytes(earlier)
+    assert main(TINY_RUN + ["--functions", "F1", "--params", params.format(tuned=tuned),
+                            "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message.format(tuned=tuned)}")
+    assert (out / "runs.csv").read_bytes() == earlier
 
 
 @pytest.mark.parametrize("scale", ["inf", "nan"])

@@ -147,8 +147,9 @@ def test_different_run_index_differs():
 
 def test_run_batch_parallel_matches_serial():
     config = _tiny(seed=5)
-    serial, sum_serial = run_batch(("F1", 10, 3), config, n_runs=3, workers=1)
-    parallel, sum_parallel = run_batch(("F1", 10, 3), config, n_runs=3, workers=2)
+    inst = make_instance("F1", 10, 3)
+    serial, sum_serial = run_batch(inst, config, n_runs=3, workers=1)
+    parallel, sum_parallel = run_batch(inst, config, n_runs=3, workers=2)
     assert [r.final_best.fitness for r in serial] == [
         r.final_best.fitness for r in parallel
     ]
@@ -158,12 +159,13 @@ def test_run_batch_parallel_matches_serial():
 @pytest.mark.parametrize("fid,dim", [("F4", 50), ("F15", 1000)])
 def test_run_batch_on_rotated_blocks_parallel_matches_serial(fid, dim):
     # F4 has rotated blocks plus a separable tail, F15 one 1000-row block, a
-    # size at which OpenBLAS runs threads and short groups take a half-width
+    # size at which OpenBLAS runs threads and every group takes the row-major
     # product; the workers evaluate through the read-only rotations of an
     # unpickled instance
     config = _tiny(seed=2)
-    serial, sum_serial = run_batch((fid, dim, 1), config, n_runs=3, workers=1)
-    parallel, sum_parallel = run_batch((fid, dim, 1), config, n_runs=3, workers=2)
+    inst = make_instance(fid, dim, 1)
+    serial, sum_serial = run_batch(inst, config, n_runs=3, workers=1)
+    parallel, sum_parallel = run_batch(inst, config, n_runs=3, workers=2)
     for a, b in zip(serial, parallel):
         assert a.final_best.fitness == b.final_best.fitness
         assert np.array_equal(a.final_best.x, b.final_best.x)
@@ -200,11 +202,12 @@ def test_run_batch_asks_for_at_most_one_worker_per_run(monkeypatch):
 
     monkeypatch.setattr("lsgo_hybrid.hybrid.ProcessPoolExecutor", InlinePool)
     config = _tiny(seed=5)
-    serial, _ = run_batch(("F1", 10, 3), config, n_runs=3, workers=1)
-    pooled, _ = run_batch(("F1", 10, 3), config, n_runs=3, workers=64)
+    inst = make_instance("F1", 10, 3)
+    serial, _ = run_batch(inst, config, n_runs=3, workers=1)
+    pooled, _ = run_batch(inst, config, n_runs=3, workers=64)
     assert pools == [3]
     # a single run takes the in-process path
-    lone, _ = run_batch(("F1", 10, 3), config, n_runs=1, workers=64)
+    lone, _ = run_batch(inst, config, n_runs=1, workers=64)
     assert pools == [3]
     assert [r.final_best.fitness for r in pooled] == [
         r.final_best.fitness for r in serial
@@ -223,7 +226,7 @@ def test_summary_order_statistics():
 
 def test_summary_single_run_stddev_zero():
     config = _tiny(seed=1)
-    results, summary = run_batch(("F1", 10, 0), config, n_runs=1)
+    results, summary = run_batch(make_instance("F1", 10, 0), config, n_runs=1)
     assert summary["stddev"] == 0.0
     assert summary["best"] == summary["median"] == summary["worst"]
 
@@ -247,7 +250,7 @@ def test_config_validation():
 
 def test_run_batch_rejects_zero_runs():
     with pytest.raises(ValueError):
-        run_batch(("F1", 10, 0), _tiny(), n_runs=0)
+        run_batch(make_instance("F1", 10, 0), _tiny(), n_runs=0)
 
 
 class _NanOnce:

@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 import os
 import pickle
@@ -454,10 +455,18 @@ def test_min_block_size_holds_everywhere():
                 assert covered == d
 
 
-@pytest.mark.parametrize("family", sorted(
-    {instance_mod._FUNCTIONS[fid].family for fid in FUNCTION_IDS}))
+_FAMILIES = sorted({instance_mod._FUNCTIONS[fid].family for fid in FUNCTION_IDS})
+
+# past 2**53 a float64 quota loses the units digit; the first two dimensions
+# already have remainders that float64 orders wrongly; 2**63 - 1 is the largest
+# dimension a layout takes
+_HUGE_DIMENSIONS = (3835490887220348, 3939343538190936, 2**53 + 1, 10**17 + 3,
+                    10**18, 2**63 - 1)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
 def test_layout_tiles_every_dimension(family):
-    for d in range(instance_mod.MIN_DIMENSION, 5001):
+    for d in [*range(instance_mod.MIN_DIMENSION, 5001), *_HUGE_DIMENSIONS]:
         blocks, tail = instance_mod._layout(family, d)
         starts = [start for start, _size in blocks]
         sizes = [size for _start, size in blocks]
@@ -480,6 +489,47 @@ def test_layout_tiles_every_dimension(family):
         else:
             assert tail is None
         assert ends[-1] == d, (family, d)
+
+
+@pytest.mark.parametrize("family", [f for f in _FAMILIES if "separable" not in f])
+def test_huge_layouts_give_the_leftover_to_the_largest_remainders(family):
+    # far above the minimum block size the sizes are the largest-remainder
+    # shares of their sum, the tiled span, in the canonical proportions
+    for d in _HUGE_DIMENSIONS:
+        sizes = [size for _start, size in instance_mod._layout(family, d)[0]]
+        weights = instance_mod._CANON[:len(sizes)]
+        shares = [divmod(sum(sizes) * w, sum(weights)) for w in weights]
+        assert all(size - q in (0, 1) for size, (q, _r) in zip(sizes, shares)), (family, d)
+        up = [r for size, (q, r) in zip(sizes, shares) if size > q]
+        down = [r for size, (q, r) in zip(sizes, shares) if size == q]
+        assert not up or not down or min(up) >= max(down), (family, d)
+
+
+# sha256 of the reprs of `_layout(family, d)`, one line per d in 10..5000, as
+# release 0.21.0 computed them
+_LAYOUT_DIGESTS = {
+    "nonseparable": "f9cfe4ac8ae65ad746e19fa84d76b5a594624c9bc66936cc3a52752b7a5fbeaf",
+    "overlap_conflicting": "eef1fd92b6311aca93be15ab755405d4f10daa106cc9c6636c24962b9a8589c5",
+    "overlap_conforming": "eef1fd92b6311aca93be15ab755405d4f10daa106cc9c6636c24962b9a8589c5",
+    "partial": "310c4f27fc11dd02233dad981d36d3292b85a946e96d7222108e79181a4dc028",
+    "partial_tail": "eb66194576f5ebec9075e44c37c6589daab006fff8694d387857f958fbea1dc9",
+    "separable": "f9cfe4ac8ae65ad746e19fa84d76b5a594624c9bc66936cc3a52752b7a5fbeaf",
+}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_layouts_are_pinned_at_every_dimension_up_to_5000(family):
+    text = "\n".join(repr(instance_mod._layout(family, d)) for d in range(10, 5001))
+    assert hashlib.sha256(text.encode()).hexdigest() == _LAYOUT_DIGESTS[family]
+
+
+@pytest.mark.parametrize("d", [5, 9, 0, -3])
+def test_a_dimension_below_the_minimum_is_refused_by_name(d):
+    for family in _FAMILIES:
+        with pytest.raises(ValueError, match=rf"^dimension must be at least 10, got {d}$"):
+            instance_mod._layout(family, d)
+    with pytest.raises(ValueError, match=rf"^dimension must be at least 10, got {d}$"):
+        make_instance("F4", d, 0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -77,6 +77,7 @@ def test_read_param_vector_checks_each_field():
         ({"par": 0.3, "f": 0.5}, "p has no cr field"),
         ({"par": 0.3, "cr": "high", "f": 0.5}, "p has non-numeric cr 'high'"),
         ({"par": 0.3, "cr": True, "f": 0.5}, "p has non-numeric cr True"),
+        ({"par": 0.3, "cr": 0.9, "f": 2.5}, "p has f=2.5 outside [0.0, 2.0]"),
     ]:
         with pytest.raises(ValueError) as info:
             read_param_vector(payload, "p")
