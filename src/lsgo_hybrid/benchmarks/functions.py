@@ -55,8 +55,9 @@ def rosenbrock(z: np.ndarray):
     return (100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2).sum(axis=-1)
 
 
+# the per-block base of every non-elliptic id; an elliptic id's value is one
+# weighted row sum (`BenchmarkInstance._row_weights`) and never dispatches
 _DISPATCH = {
-    "elliptic": elliptic,
     "rastrigin": rastrigin,
     "ackley": ackley,
     "schwefel_12": schwefel_12,

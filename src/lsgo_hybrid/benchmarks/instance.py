@@ -59,6 +59,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -142,7 +143,6 @@ _FUNCTIONS = {
 }
 
 FUNCTION_IDS = tuple(_FUNCTIONS)
-_FID_INDEX = {fid: i + 1 for i, fid in enumerate(FUNCTION_IDS)}
 
 
 # -- layout ------------------------------------------------------------------
@@ -258,8 +258,8 @@ class BenchmarkInstance:
                  subcomponents, tail, solution):
         fspec = _FUNCTIONS[function_id]
         self.function_id = function_id
-        self.dimension = int(dimension)
-        self.seed = int(seed)
+        self.dimension = dimension
+        self.seed = seed
         self.base = fspec.base
         self.family = fspec.family
         half = BOUNDS[fspec.base]
@@ -480,11 +480,15 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
         raise ValueError(
             f"unknown function id {function_id!r}; expected F1..F{len(_FUNCTIONS)}"
         )
-    dimension = int(dimension)
+    try:
+        dimension, seed = operator.index(dimension), operator.index(seed)
+    except TypeError:
+        raise ValueError("dimension and seed must be integers, got "
+                         f"dimension={dimension!r}, seed={seed!r}") from None
     fspec = _FUNCTIONS[function_id]
     sub_layout, tail_layout = _layout(fspec.family, dimension)
     root = np.random.SeedSequence(
-        [int(seed) & 0xFFFFFFFFFFFFFFFF, _FID_INDEX[function_id], dimension]
+        [seed & 0xFFFFFFFFFFFFFFFF, FUNCTION_IDS.index(function_id) + 1, dimension]
     )
     main_ss, rot_ss = root.spawn(2)
     rng = np.random.default_rng(main_ss)

@@ -39,8 +39,6 @@ from .tuning import (
 OUT_DIR_ENV = "LSGO_HYBRID_OUT"
 _DEFAULT_OUT = "lsgo_hybrid_out"
 
-_FID_NUM = {fid: i for i, fid in enumerate(FUNCTION_IDS)}
-
 
 def _say(text: str) -> None:
     """Print a line to stdout. Once stdout's reader has gone, fd 1 points at
@@ -70,13 +68,13 @@ def parse_function_list(text: str) -> list[str]:
         m = re.fullmatch(r"(F\d+)\.\.(F\d+)", token)
         if m:
             lo, hi = m.group(1), m.group(2)
-            if lo not in _FID_NUM or hi not in _FID_NUM:
+            if lo not in FUNCTION_IDS or hi not in FUNCTION_IDS:
                 raise ValueError(f"unknown function in range {token!r}")
-            if _FID_NUM[lo] > _FID_NUM[hi]:
+            span = FUNCTION_IDS[FUNCTION_IDS.index(lo):FUNCTION_IDS.index(hi) + 1]
+            if not span:
                 raise ValueError(f"empty range {token!r}")
-            span = FUNCTION_IDS[_FID_NUM[lo]:_FID_NUM[hi] + 1]
             chosen.extend(span)
-        elif token in _FID_NUM:
+        elif token in FUNCTION_IDS:
             chosen.append(token)
         else:
             raise ValueError(
@@ -193,8 +191,7 @@ def cmd_run(args) -> int:
         "configs": {fid: asdict(config) for fid, config in configs.items()},
     })
 
-    checkpoint_fes = [k * base.per_cycle for k in checkpoints]
-    fe_columns = [_fe_label(fe, budget) for fe in checkpoint_fes]
+    fe_columns = [_fe_label(k * base.per_cycle, budget) for k in checkpoints]
 
     runs_path = out / "runs.csv"
     header = ["function_id", "dim", "seed", *fe_columns,
@@ -207,13 +204,14 @@ def cmd_run(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(header)
         fh.flush()
-        for fid in sorted(functions, key=_FID_NUM.get):
+        for fid in sorted(functions, key=FUNCTION_IDS.index):
             results, summary = run_batch(instances[fid], configs[fid],
                                          n_runs=args.runs, workers=workers)
             summaries[fid] = summary
             for r in results:
                 row = [fid, args.dim, r.seed]
-                row += [_exact(r.best_at_checkpoint[fe]) for fe in checkpoint_fes]
+                # trace[2k] is the best after cycle k, k * per_cycle evaluations
+                row += [_exact(r.trace[2 * k]) for k in checkpoints]
                 row += [_exact(r.final_best.fitness),
                         int(round(r.wall_time_s * 1000.0)), config_hash]
                 writer.writerow(row)

@@ -24,6 +24,9 @@ from .population import Candidate, Population
 
 @dataclass
 class HybridConfig:
+    """Settings of one run. `checkpoints` names the cycles whose best values a
+    results table reports; the run itself records every cycle in its trace."""
+
     population_size: int = 200
     outer_iterations: int = 100
     harmony: HarmonyParams = field(default_factory=HarmonyParams)
@@ -81,10 +84,13 @@ def scaled(config: HybridConfig, budget_scale: float) -> HybridConfig:
 
 @dataclass
 class RunResult:
+    """One run's outcome. `trace[0]` is the initial pool's best value, and
+    `trace[2k - 1]` and `trace[2k]` the best after cycle k's harmony and DE
+    phases, so `trace[2k]` is the best after k * per_cycle evaluations."""
+
     function_id: str
     dimension: int
     seed: int
-    best_at_checkpoint: dict[int, float]
     final_best: Candidate
     fe_consumed: int
     wall_time_s: float
@@ -112,8 +118,6 @@ def run(instance: BenchmarkInstance, config: HybridConfig,
 
     harmony_share = config.harmony.max_iterations
     de_share = config.per_cycle - harmony_share
-    checkpoint_set = set(config.checkpoints)
-    best_at_checkpoint: dict[int, float] = {}
 
     for k in range(1, config.outer_iterations + 1):
         first = 1
@@ -130,14 +134,11 @@ def run(instance: BenchmarkInstance, config: HybridConfig,
         trace.append(pool.best_fitness)
         spent += de_run(pool, config.de, instance, rng, max_candidates=de_budget)
         trace.append(pool.best_fitness)
-        if k in checkpoint_set:
-            best_at_checkpoint[k * config.per_cycle] = pool.best_fitness
 
     return RunResult(
         function_id=getattr(instance, "function_id", "custom"),
         dimension=instance.dimension,
         seed=run_index,
-        best_at_checkpoint=best_at_checkpoint,
         final_best=pool.best(),
         fe_consumed=spent,
         wall_time_s=time.perf_counter() - t0,

@@ -4,7 +4,6 @@ from .fixture import (
     METRICS,
     read_results,
     reference_median_matrix,
-    reference_values,
 )
 from .nonparametric import friedman, quade
 from .ranking import (
@@ -24,7 +23,6 @@ __all__ = [
     "METRICS",
     "read_results",
     "reference_median_matrix",
-    "reference_values",
     "friedman",
     "quade",
     "DEFAULT_GROUPS",

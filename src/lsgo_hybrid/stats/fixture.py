@@ -97,14 +97,7 @@ def _load() -> dict[str, MedianMatrix]:
     return tables
 
 
-def reference_values(metric: str) -> MedianMatrix:
-    """One metric as a rows=algorithms, columns=functions matrix."""
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    matrix = _load()[metric]
-    return MedianMatrix(list(matrix.algorithms), list(matrix.functions), matrix.values.copy())
-
-
 def reference_median_matrix() -> MedianMatrix:
     """The median-of-25-runs matrix driving every ranking in the suite."""
-    return reference_values("median")
+    matrix = _load()["median"]
+    return MedianMatrix(list(matrix.algorithms), list(matrix.functions), matrix.values.copy())

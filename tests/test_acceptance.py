@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from lsgo_hybrid.benchmarks import make_instance, random_orthogonal
+from lsgo_hybrid.cli import _fe_label
 from lsgo_hybrid.de import DeParams, de_run
 from lsgo_hybrid.harmony import HarmonyParams, harmony_run
 from lsgo_hybrid.hybrid import HybridConfig, fe_budget, run, run_batch, scaled
@@ -156,11 +157,14 @@ def test_criterion_3_budget_accounting():
         result = run(instance, small)
         assert instance.eval_count == fe_budget(small)
         assert result.fe_consumed == fe_budget(small)
-        assert set(result.best_at_checkpoint) == {
-            c * (small.harmony.max_iterations
-                 + small.de.max_iterations * small.population_size)
-            for c in small.checkpoints
-        }
+        # a results table reports checkpoint c, at c * per_cycle evaluations,
+        # as trace[2c], the best after cycle c
+        assert small.per_cycle == (small.harmony.max_iterations
+                                   + small.de.max_iterations * small.population_size)
+        assert [_fe_label(c * small.per_cycle, fe_budget(small))
+                for c in small.checkpoints] == ["fe_880", "fe_4400", "fe_final"]
+        assert len(result.trace) == 2 * small.outer_iterations + 1
+        assert result.trace[2 * small.checkpoints[-1]] == result.final_best.fitness
 
 
 def test_criterion_4_benchmark_invariants():
@@ -217,7 +221,6 @@ def test_criterion_5_reduced_budget_convergence():
         assert redo.final_best.fitness == ref.final_best.fitness
         assert np.array_equal(redo.final_best.x, ref.final_best.x)
         assert list(redo.trace) == list(ref.trace)
-        assert redo.best_at_checkpoint == ref.best_at_checkpoint
 
 
 def test_criterion_6_plateau_leaves_pool_untouched():

@@ -65,7 +65,7 @@ def test_rosenbrock_chain():
 
 def test_all_bases_nonnegative_on_random_points():
     rng = np.random.default_rng(1)
-    for name, fn in _DISPATCH.items():
+    for name, fn in {"elliptic": elliptic, **_DISPATCH}.items():
         half = BOUNDS[name]
         for _ in range(10):
             z = rng.uniform(-half, half, size=6)

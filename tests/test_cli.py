@@ -14,12 +14,15 @@ import lsgo_hybrid
 from lsgo_hybrid.benchmarks import from_json, make_instance
 from lsgo_hybrid.cli import (
     OUT_DIR_ENV,
+    _exact,
     audit_results,
     build_parser,
     main,
     parse_function_list,
 )
+from lsgo_hybrid.hybrid import HybridConfig, run, scaled
 from lsgo_hybrid.stats import METRICS, read_results
+from lsgo_hybrid.tuning import hybrid_config_for, load_specialist_params
 
 TINY_RUN = ["run", "--dim", "10", "--runs", "2", "--seed", "3",
             "--budget-scale", "0.002", "--parallel", "1"]
@@ -112,6 +115,22 @@ def test_run_rows_sorted_by_function_then_seed(tmp_path):
     assert [(r[0], r[2]) for r in rows] == [
         ("F1", "0"), ("F1", "1"), ("F2", "0"), ("F2", "1"),
     ]
+
+
+def test_run_writes_each_checkpoint_from_the_trace(tmp_path):
+    # the cell of checkpoint k is trace[2k], the best after cycle k, of the
+    # same function, seed and run
+    out = tmp_path / "trace"
+    assert main(TINY_RUN + ["--functions", "F1,F4", "--checkpoints", "1,4,100",
+                            "--out", str(out)]) == 0
+    rows = _read(out / "runs.csv")
+    fe_cols = [j for j, c in enumerate(rows[0]) if c.startswith("fe_")]
+    assert [rows[0][j] for j in fe_cols] == ["fe_220", "fe_880", "fe_final"]
+    base = scaled(HybridConfig(checkpoints=(1, 4, 100), seed=3), 0.002)
+    for row in rows[1:]:
+        config = hybrid_config_for(load_specialist_params(row[0]), base)
+        trace = run(make_instance(row[0], 10, 3), config, int(row[2])).trace
+        assert [row[j] for j in fe_cols] == [_exact(trace[2 * k]) for k in (1, 4, 100)]
 
 
 def test_run_custom_checkpoints_and_validation(tmp_path, capsys):

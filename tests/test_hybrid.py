@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lsgo_hybrid.benchmarks import make_instance
+from lsgo_hybrid.cli import _fe_label
 from lsgo_hybrid.de import DeParams
 from lsgo_hybrid.harmony import HarmonyParams
 from lsgo_hybrid.hybrid import (
@@ -105,16 +106,20 @@ def test_budget_exact_when_pool_exceeds_harmony_share():
 
 
 def test_checkpoints_keyed_by_evaluation_count():
+    # a results table labels checkpoint c by its c * per_cycle evaluations and
+    # reports trace[2c], the best after cycle c
     config = _tiny()
     result = run(make_instance("F1", 10, 0), config)
-    assert sorted(result.best_at_checkpoint) == [90, 270]
-    assert result.best_at_checkpoint[270] == result.final_best.fitness
+    assert [_fe_label(c * config.per_cycle, fe_budget(config))
+            for c in config.checkpoints] == ["fe_90", "fe_final"]
+    assert len(result.trace) == 2 * config.outer_iterations + 1
+    assert result.trace[2 * config.checkpoints[-1]] == result.final_best.fitness
 
 
 def test_checkpoint_values_non_increasing():
     config = _tiny(outer=5, checkpoints=(1, 2, 3, 4, 5))
     result = run(make_instance("F1", 10, 2), config)
-    values = [result.best_at_checkpoint[k] for k in sorted(result.best_at_checkpoint)]
+    values = [result.trace[2 * c] for c in config.checkpoints]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -169,7 +174,6 @@ def test_run_batch_on_rotated_blocks_parallel_matches_serial(fid, dim):
     for a, b in zip(serial, parallel):
         assert a.final_best.fitness == b.final_best.fitness
         assert np.array_equal(a.final_best.x, b.final_best.x)
-        assert a.best_at_checkpoint == b.best_at_checkpoint
         assert a.trace == b.trace
     assert sum_serial == sum_parallel
 

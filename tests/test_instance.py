@@ -539,6 +539,21 @@ def test_a_dimension_past_a_64_bit_index_is_refused_by_name():
             make_instance(fid, 10**30, 0)
 
 
+@pytest.mark.parametrize("dimension, seed, shown", [
+    (10.7, 3.9, "10.7"), (np.float64(12.5), 0, "12.5"), (50, 2.0, "2.0")])
+def test_a_dimension_or_seed_that_is_not_an_integer_is_refused_by_value(dimension, seed,
+                                                                        shown):
+    with pytest.raises(ValueError, match=r"^dimension and seed must be integers") as err:
+        make_instance("F1", dimension, seed)
+    assert shown in str(err.value)
+
+
+def test_numpy_integers_build_the_instance_of_python_integers():
+    built = make_instance("F8", np.int64(50), np.int64(3))
+    assert type(built.dimension) is int and type(built.seed) is int
+    assert built.to_descriptor() == make_instance("F8", 50, 3).to_descriptor()
+
+
 def test_bounds_follow_the_base_function():
     assert make_instance("F1", 50, 0).bounds == (-100.0, 100.0)
     assert make_instance("F2", 50, 0).bounds == (-5.0, 5.0)

@@ -29,9 +29,9 @@ from lsgo_hybrid.stats import (
     rank_matrix,
     read_results,
     reference_median_matrix,
-    reference_values,
     write_report,
 )
+from lsgo_hybrid.stats.fixture import _load
 
 # -- special functions against an independent implementation -----------------
 
@@ -264,10 +264,9 @@ def test_fixture_shape_and_algorithms():
     assert len(matrix.algorithms) == 11
     assert matrix.algorithms[0] == "IMHS+MDE"
     assert matrix.values.shape == (11, 15)
+    tables = _load()
     for metric in ("best", "median", "worst", "mean", "stddev"):
-        assert reference_values(metric).values.shape == (11, 15)
-    with pytest.raises(ValueError):
-        reference_values("variance")
+        assert tables[metric].values.shape == (11, 15)
 
 
 def test_fixture_spot_values():
