@@ -205,7 +205,7 @@ def _layout(family: str, d: int):
 
 
 def _conflict_least_squares(subcomponents, dimension, alpha) -> np.ndarray:
-    """Exact minimiser of the conflicting chain in permuted coordinates.
+    """Exact minimiser of F14's conflicting chain in permuted coordinates.
 
     With the pointwise maps off, each block j contributes
     w_j * ||L C R (y_j - o_j)||^2, a convex quadratic, so the global
@@ -217,10 +217,8 @@ def _conflict_least_squares(subcomponents, dimension, alpha) -> np.ndarray:
     r0 = 0
     for sub in subcomponents:
         a = np.tril(np.ones((sub.size, sub.size)))  # prefix sums
-        if alpha != 1.0:
-            a = a * conditioning_weights(sub.size, alpha)[np.newaxis, :]
-        if sub.rotation is not None:
-            a = a @ sub.rotation
+        a = a * conditioning_weights(sub.size, alpha)[np.newaxis, :]
+        a = a @ sub.rotation
         a = a * np.sqrt(sub.weight)
         m[r0 : r0 + sub.size, sub.start : sub.stop] = a
         t[r0 : r0 + sub.size] = a @ sub.local_shift
@@ -468,6 +466,17 @@ class BenchmarkInstance:
         return json.dumps(self.to_descriptor(), **kwargs)
 
 
+def _seed_sequence(**words) -> np.random.SeedSequence:
+    """The one rule from integers to a random stream: the first word (the
+    seed) mod 2**64, then the others in order, each through operator.index."""
+    try:
+        seed, *rest = [operator.index(v) for v in words.values()]
+    except TypeError:
+        shown = ", ".join(f"{k}={v!r}" for k, v in words.items())
+        raise ValueError(f"seeds must be integers, got {shown}") from None
+    return np.random.SeedSequence([seed % 2**64, *rest])
+
+
 def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInstance:
     """Generate the benchmark instance for (function_id, dimension, seed).
 
@@ -487,9 +496,8 @@ def make_instance(function_id: str, dimension: int, seed: int) -> BenchmarkInsta
                          f"dimension={dimension!r}, seed={seed!r}") from None
     fspec = _FUNCTIONS[function_id]
     sub_layout, tail_layout = _layout(fspec.family, dimension)
-    root = np.random.SeedSequence(
-        [seed & 0xFFFFFFFFFFFFFFFF, FUNCTION_IDS.index(function_id) + 1, dimension]
-    )
+    root = _seed_sequence(seed=seed, function=FUNCTION_IDS.index(function_id) + 1,
+                          dimension=dimension)
     main_ss, rot_ss = root.spawn(2)
     rng = np.random.default_rng(main_ss)
 

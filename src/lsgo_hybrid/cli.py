@@ -59,8 +59,9 @@ def _out_dir(args) -> Path:
 
 
 def parse_function_list(text: str) -> list[str]:
-    """Comma-separated ids with F<a>..F<b> range syntax, e.g. F1..F3,F15."""
-    chosen: list[str] = []
+    """Comma-separated ids with F<a>..F<b> range syntax, e.g. F1..F3,F15; each
+    chosen id once, in FUNCTION_IDS order however it was typed."""
+    chosen: set[str] = set()
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -73,18 +74,16 @@ def parse_function_list(text: str) -> list[str]:
             span = FUNCTION_IDS[FUNCTION_IDS.index(lo):FUNCTION_IDS.index(hi) + 1]
             if not span:
                 raise ValueError(f"empty range {token!r}")
-            chosen.extend(span)
+            chosen.update(span)
         elif token in FUNCTION_IDS:
-            chosen.append(token)
+            chosen.add(token)
         else:
             raise ValueError(
                 f"unknown function id {token!r}; expected F1..F{len(FUNCTION_IDS)}"
             )
-    seen = set()
-    unique = [f for f in chosen if not (f in seen or seen.add(f))]
-    if not unique:
+    if not chosen:
         raise ValueError("no functions selected")
-    return unique
+    return [f for f in FUNCTION_IDS if f in chosen]
 
 
 def _resolve_params(source: str, function_id: str, dimension: int) -> ParamVector:
@@ -204,7 +203,7 @@ def cmd_run(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(header)
         fh.flush()
-        for fid in sorted(functions, key=FUNCTION_IDS.index):
+        for fid in functions:
             results, summary = run_batch(instances[fid], configs[fid],
                                          n_runs=args.runs, workers=workers)
             summaries[fid] = summary
@@ -245,7 +244,7 @@ def audit_results(runs_path: Path, summary_path: Path, n_runs: int):
     finals: dict[str, list[float]] = {}
     for i, row in enumerate(rows, start=2):
         series = [float(row[c]) for c in fe_cols] + [float(row["final_best"])]
-        if any(b > a + 1e-300 for a, b in zip(series, series[1:])):
+        if any(b > a for a, b in zip(series, series[1:])):
             raise ValueError(
                 f"audit: checkpoint values increase in {runs_path} line {i}"
             )

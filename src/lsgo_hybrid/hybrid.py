@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .benchmarks import BenchmarkInstance
+from .benchmarks.instance import BenchmarkInstance, _seed_sequence
 from .de import DeParams, de_run
 from .harmony import HarmonyParams, harmony_run
 from .population import Candidate, Population
@@ -84,12 +84,11 @@ def scaled(config: HybridConfig, budget_scale: float) -> HybridConfig:
 
 @dataclass
 class RunResult:
-    """One run's outcome. `trace[0]` is the initial pool's best value, and
-    `trace[2k - 1]` and `trace[2k]` the best after cycle k's harmony and DE
-    phases, so `trace[2k]` is the best after k * per_cycle evaluations."""
+    """One run's outcome. `seed` is the run index, which with the config's
+    seed picks the run's stream. `trace[0]` is the initial pool's best value,
+    and `trace[2k - 1]` and `trace[2k]` the best after cycle k's harmony and
+    DE phases, so `trace[2k]` is the best after k * per_cycle evaluations."""
 
-    function_id: str
-    dimension: int
     seed: int
     final_best: Candidate
     fe_consumed: int
@@ -97,18 +96,12 @@ class RunResult:
     trace: list[float]
 
 
-def _rng_for(seed: int, run_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, int(run_index)])
-    )
-
-
 def run(instance: BenchmarkInstance, config: HybridConfig,
         run_index: int = 0) -> RunResult:
-    """One full optimisation run; deterministic in (config.seed, run_index)."""
+    """One full optimisation run; deterministic in the integers (config.seed, run_index)."""
     config.validate()
     t0 = time.perf_counter()
-    rng = _rng_for(config.seed, run_index)
+    rng = np.random.default_rng(_seed_sequence(seed=config.seed, run_index=run_index))
 
     pool = Population.random_uniform(
         config.population_size, instance.dimension, instance.bounds, rng, instance,
@@ -136,8 +129,6 @@ def run(instance: BenchmarkInstance, config: HybridConfig,
         trace.append(pool.best_fitness)
 
     return RunResult(
-        function_id=getattr(instance, "function_id", "custom"),
-        dimension=instance.dimension,
         seed=run_index,
         final_best=pool.best(),
         fe_consumed=spent,

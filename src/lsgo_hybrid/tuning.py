@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .benchmarks import BenchmarkInstance
+from .benchmarks.instance import BenchmarkInstance, _seed_sequence
 from .de import CR_RANGE, F_RANGE, DeParams
 from .harmony import PAR_RANGE, HarmonyParams
 from .hybrid import HybridConfig, fe_budget, run
@@ -171,13 +171,11 @@ def _mutate(rng: np.random.Generator, genes: np.ndarray) -> np.ndarray:
 def tune(instance: BenchmarkInstance, config: TunerConfig) -> tuple[ParamVector, float]:
     """GA search over the triple; returns (best vector, its probe fitness).
 
-    Deterministic given config.seed. Every fitness evaluation costs
+    Deterministic given config.seed, an integer. Every fitness evaluation costs
     probes_per_eval * inner_budget objective calls.
     """
     config.validate()
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(config.seed) & 0xFFFFFFFFFFFFFFFF])
-    )
+    rng = np.random.default_rng(_seed_sequence(seed=config.seed))
 
     def evaluate(genes: np.ndarray) -> float:
         seeds = rng.integers(0, 2**63, size=config.probes_per_eval)
@@ -206,12 +204,10 @@ def tune(instance: BenchmarkInstance, config: TunerConfig) -> tuple[ParamVector,
     return ParamVector(*genomes[best]), float(fitness[best])
 
 
-def hybrid_config_for(params: ParamVector,
-                      base: HybridConfig | None = None) -> HybridConfig:
-    """Full-budget config with the triple substituted in."""
-    config = base if base is not None else HybridConfig()
+def hybrid_config_for(params: ParamVector, base: HybridConfig) -> HybridConfig:
+    """`base` with the triple substituted in."""
     return replace(
-        config,
-        harmony=replace(config.harmony, par=params.par),
-        de=replace(config.de, cr=params.cr, f=params.f),
+        base,
+        harmony=replace(base.harmony, par=params.par),
+        de=replace(base.de, cr=params.cr, f=params.f),
     )

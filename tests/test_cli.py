@@ -20,7 +20,7 @@ from lsgo_hybrid.cli import (
     main,
     parse_function_list,
 )
-from lsgo_hybrid.hybrid import HybridConfig, run, scaled
+from lsgo_hybrid.hybrid import HybridConfig, final_stats, run, scaled
 from lsgo_hybrid.stats import METRICS, read_results
 from lsgo_hybrid.tuning import hybrid_config_for, load_specialist_params
 
@@ -33,7 +33,7 @@ def test_parse_function_list_forms():
     assert parse_function_list("F1") == ["F1"]
     assert parse_function_list("F1..F3") == ["F1", "F2", "F3"]
     assert parse_function_list("F1,F4") == ["F1", "F4"]
-    assert parse_function_list("F8..F11,F1") == ["F8", "F9", "F10", "F11", "F1"]
+    assert parse_function_list("F8..F11,F1") == ["F1", "F8", "F9", "F10", "F11"]
     assert parse_function_list("F1,F1,F2") == ["F1", "F2"]
 
 
@@ -115,6 +115,22 @@ def test_run_rows_sorted_by_function_then_seed(tmp_path):
     assert [(r[0], r[2]) for r in rows] == [
         ("F1", "0"), ("F1", "1"), ("F2", "0"), ("F2", "1"),
     ]
+
+
+def test_run_takes_the_functions_in_id_order(tmp_path, capsys):
+    # one experiment has one config hash however its functions were typed,
+    # so stats refuses its second summary as a duplicate algorithm
+    stripped = []
+    for name, functions in (("a", "F1,F4"), ("b", "F4,F1")):
+        out = tmp_path / name
+        assert main(TINY_RUN + ["--functions", functions, "--out", str(out)]) == 0
+        rows = _read(out / "runs.csv")
+        wall = rows[0].index("wall_ms")
+        stripped.append([[c for k, c in enumerate(row) if k != wall] for row in rows])
+    assert stripped[0] == stripped[1]
+    paths = [str(tmp_path / name / "summary.csv") for name in "ab"]
+    assert main(["stats", "--input", *paths, "--out", str(tmp_path / "o")]) == 1
+    assert "duplicate algorithm" in capsys.readouterr().err
 
 
 def test_run_writes_each_checkpoint_from_the_trace(tmp_path):
@@ -444,10 +460,15 @@ def test_config_hash_ignores_how_the_values_were_given(tmp_path):
 
 
 def test_pyproject_version_matches_package():
+    # the package's __version__ is the one version string: pyproject.toml
+    # names it and holds no literal version of its own
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
-    m = re.search(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+    assert re.search(r'^dynamic = \["version"\]$', text, flags=re.MULTILINE)
+    m = re.search(r'^\[tool\.setuptools\.dynamic\]\nversion = \{attr = "([^"]+)"\}$',
+                  text, flags=re.MULTILINE)
     assert m is not None
-    assert m.group(1) == lsgo_hybrid.__version__
+    assert m.group(1) == "lsgo_hybrid.__version__"
+    assert re.search(r'^version = "', text, flags=re.MULTILINE) is None
 
 
 def _with_closed_stdout(args, unbuffered):
@@ -550,6 +571,27 @@ def test_audit_matches_exactly_and_catches_a_changed_summary(tmp_path):
         csv.writer(fh).writerows(summary)
     with pytest.raises(ValueError, match="F1 stddev"):
         audit_results(out / "runs.csv", out / "summary.csv", 5)
+
+
+def test_audit_refuses_a_rise_of_any_size(tmp_path):
+    # every row's series rises from 1e-310 to 2e-310, and the summary is
+    # recomputed to match, so only the monotone check can refuse the pair
+    out = tmp_path / "exp"
+    assert main(TINY_RUN + ["--functions", "F1", "--out", str(out)]) == 0
+    runs = _read(out / "runs.csv")
+    first = next(k for k, c in enumerate(runs[0]) if c.startswith("fe_"))
+    final = runs[0].index("final_best")
+    for row in runs[1:]:
+        row[first:final + 1] = [_exact(1e-310)] * (final - first) + [_exact(2e-310)]
+    stats = final_stats([2e-310, 2e-310])
+    summary = _read(out / "summary.csv")
+    for row in summary[1:]:
+        row[2] = f"{stats[row[1]]:.8e}"
+    for name, rows in (("runs.csv", runs), ("summary.csv", summary)):
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    with pytest.raises(ValueError, match=r"checkpoint values increase in .* line 2$"):
+        audit_results(out / "runs.csv", out / "summary.csv", 2)
 
 
 @pytest.mark.parametrize("edit, runs, message", [

