@@ -33,22 +33,17 @@ the one-row case, so a lone evaluation gives the same bits as that row of
 any batch.
 
 The rotation product has two forms. Most blocks take the column form
-R @ Y.T, at one of two widths: a group of at most G // 2 rows multiplies a
-rotation of at least `_HALF_WIDTH_ROWS` (256) rows by the buffer's first
-G // 2 rows, and every other group and block takes all G rows. A column of
-that product depends neither on its position nor on the other columns, nor,
-from 256 rows up, on which width it was computed at. The threshold exists
-because smaller blocks, such as the 91- to 100-row blocks, run OpenBLAS's
-small-matrix kernel, whose columns change bits between the two widths.
-A block of at least `_ROW_MAJOR_ROWS` (1000) rows whose row count is a
-multiple of 8 (at dimension 1000, F15's one block) takes the row form
-Y[:w] @ R.T instead, w being the group's row count rounded up to a
-multiple of 4: OpenBLAS then packs R as the B operand, which is cheaper
-once R no longer fits in L2. Each row of it has the bits of its column of
-R @ Y.T at any position and width. At one BLAS thread that holds only when
-the row count is a multiple of 8: at 1004 rows a row's bits depend on its
-position. Tests check all of this for every rotated block size the layouts
-make and for 1004, 1008 and 2000 rows, as a BLAS could break it.
+R @ Y.T over all G rows of the buffer, and a column of that product depends
+neither on its position nor on the other columns. A block of at least
+`_ROW_MAJOR_ROWS` (1000) rows whose row count is a multiple of 8 (at
+dimension 1000, F15's one block) takes the row form Y[:w] @ R.T instead,
+w being the group's row count rounded up to a multiple of 4: OpenBLAS then
+packs R as the B operand, which is cheaper once R no longer fits in L2.
+Each row of it has the bits of its column of R @ Y.T at any position and
+width. At one BLAS thread that holds only when the row count is a multiple
+of 8: at 1004 rows a row's bits depend on its position. Tests check all of
+this for every rotated block size the layouts make and for 1004, 1008 and
+2000 rows, as a BLAS could break it.
 The maps and row reductions treat each row alone. Every step after the
 gather writes into the call's own buffers, and nothing is stored on the
 instance between calls.
@@ -75,14 +70,8 @@ from .transforms import (
 
 _DESCRIPTOR_FORMAT = "lsgo-hybrid-instance/2"
 
-# Rows per evaluation group; a column-form rotation product has G or G // 2
-# columns.
+# Rows per evaluation group; a column-form rotation product has G columns.
 G = 16
-
-# Rotations of at least this many rows multiply a group of m <= G // 2 rows
-# by G // 2 columns, where a column has the same bits at either width; below
-# about 150 rows OpenBLAS's small-matrix kernel changes them.
-_HALF_WIDTH_ROWS = 256
 
 # Rotations of at least this many rows, whose row count is a multiple of 8,
 # are applied row-major, as Y[:w] @ R.T with w the group's row count rounded
@@ -192,11 +181,10 @@ def _layout(family: str, d: int):
         tail = (span, d - span) if d > span else None
         return list(zip(accumulate(sizes[:-1], initial=0), sizes)), tail
     if family in ("overlap_conforming", "overlap_conflicting"):
-        n = min(len(_CANON), max(2, d // _MIN_SIZE))
+        # d >= MIN_DIMENSION gives n >= 2, and _MIN_SIZE * n <= d leaves room
+        # for every block
+        n = min(len(_CANON), d // _MIN_SIZE)
         overlap = max(1, (d // n) // 10)
-        while n > 2 and _MIN_SIZE * n > d + (n - 1) * overlap:
-            n -= 1
-            overlap = max(1, (d // n) // 10)
         # the sizes sum to d + (n - 1) * overlap, so the last block ends at d
         sizes = _block_sizes(d + (n - 1) * overlap, n)
         starts = accumulate((s - overlap for s in sizes[:-1]), initial=0)
@@ -377,8 +365,7 @@ class BenchmarkInstance:
                 w = -(-m // 4) * 4
                 z[:, a:b] = (padded[:w, a:b] @ rotation.T)[:m]
             else:
-                y = padded[: G // 2] if m <= G // 2 and b - a >= _HALF_WIDTH_ROWS else padded
-                z[:, a:b] = (rotation @ y[:, a:b].T)[:, :m].T
+                z[:, a:b] = (rotation @ padded[:, a:b].T)[:, :m].T
         if self._slope is not None:
             oscillate_skew_inplace(z, self._slope)
         if self._row_weights is not None:

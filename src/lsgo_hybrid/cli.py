@@ -243,6 +243,10 @@ def audit_results(runs_path: Path, summary_path: Path, n_runs: int):
 
     finals: dict[str, list[float]] = {}
     for i, row in enumerate(rows, start=2):
+        for key in ("config_hash", "dim"):
+            if row[key] != rows[0][key]:
+                raise ValueError(f"audit: {key} {row[key]} in {runs_path} line {i} "
+                                 f"is not line 2's {rows[0][key]}")
         series = [float(row[c]) for c in fe_cols] + [float(row["final_best"])]
         if any(b > a for a, b in zip(series, series[1:])):
             raise ValueError(

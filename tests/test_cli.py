@@ -594,6 +594,19 @@ def test_audit_refuses_a_rise_of_any_size(tmp_path):
         audit_results(out / "runs.csv", out / "summary.csv", 2)
 
 
+@pytest.mark.parametrize("column, value", [("config_hash", "000000000000"), ("dim", "11")])
+def test_audit_refuses_a_row_of_another_experiment(tmp_path, column, value):
+    # the summary still matches, so only the row's own columns can refuse it
+    out = tmp_path / "exp"
+    assert main(TINY_RUN + ["--functions", "F1,F4", "--out", str(out)]) == 0
+    runs = _read(out / "runs.csv")
+    runs[-1][runs[0].index(column)] = value
+    with open(out / "runs.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(runs)
+    with pytest.raises(ValueError, match=rf"{column} {value} in .* line 5 is not line 2's"):
+        audit_results(out / "runs.csv", out / "summary.csv", 2)
+
+
 @pytest.mark.parametrize("edit, runs, message", [
     (lambda rows: [r[:-1] for r in rows], 2, "over the functions ['F1', 'F4']"),
     (lambda rows: rows[:-1], 2, "must hold the rows"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
-from lsgo_hybrid.benchmarks.instance import _HALF_WIDTH_ROWS, G, _row_major
+from lsgo_hybrid.benchmarks.instance import G, _row_major
 from lsgo_hybrid.benchmarks import oscillate
 from lsgo_hybrid.benchmarks.transforms import half_sin_inplace, oscillate_skew_inplace
 
@@ -82,23 +82,6 @@ def test_rotation_product_column_ignores_position_and_neighbours(n):
             neighbours[pos, 3 : 3 + n] = v
             column = (q @ neighbours[:, 3 : 3 + n].T)[:, pos]
             assert np.array_equal(column, expected), (n, pos)
-
-
-@pytest.mark.parametrize(
-    "n", sorted({*(n for n in _SIZES if n >= _HALF_WIDTH_ROWS), _HALF_WIDTH_ROWS, 2000}))
-def test_half_width_product_columns_equal_the_full_products(n):
-    # A group of at most G // 2 rows multiplies a rotation of at least
-    # _HALF_WIDTH_ROWS rows by the buffer's first G // 2 rows only, so each of
-    # those columns must have the bits it has in the G-column product.
-    rng = np.random.default_rng(n)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    v = rng.uniform(-100.0, 100.0, size=n)
-    for pos in range(G // 2):
-        for neighbours in (np.zeros((G, n + 7)), rng.uniform(-100.0, 100.0, (G, n + 7))):
-            neighbours[pos, 3 : 3 + n] = v
-            y = neighbours[:, 3 : 3 + n]
-            full = q @ y.T
-            assert np.array_equal(q @ y[: G // 2].T, full[:, : G // 2]), (n, pos)
 
 
 _ROW_MAJOR_SIZES = [n for n in sorted({1000, 1004, 1008, 2000, *_SIZES}) if _row_major(n)]
