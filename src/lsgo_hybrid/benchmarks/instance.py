@@ -20,10 +20,10 @@ Evaluation has one x -> z path, and it evaluates rows in groups of G.
 `_prepare` lays every block's coordinates end to end in one buffer
 (subcomponents first, then the tail; shared coordinates of the overlapping
 chains appear once per block) and precomputes the gather index, shift,
-skew slopes and conditioning weights in that layout. One group of at most G
-rows is gathered and shifted into a C-ordered buffer of one row per
-candidate; each rotated block is rotated by one matrix product over Y,
-that block's columns of a G-row buffer whose unused rows are zero; the
+skew slopes and conditioning weights in that layout. Every id gathers and
+shifts one group of at most G rows into the first rows of a zeroed C-ordered
+G-row buffer, one row per candidate; each rotated block is rotated by one
+matrix product over Y, that block's columns of the buffer; the
 oscillation and skew maps run as one log-space pass over the whole buffer;
 and the weighted base function of each block is a row-wise reduction. For
 the elliptic base the value is a single row sum of z*z times one vector
@@ -304,7 +304,8 @@ class BenchmarkInstance:
                 [_gradient(p.size) for p in parts])
         # elliptic ids: block weight x elliptic weights x squared conditioning
         # weights in one vector, so the value is one weighted row sum of z*z;
-        # other bases keep (start, stop, weight, base function) per block
+        # other bases keep the conditioning weights (exactly 1.0 for F12's
+        # alpha of 1) and (start, stop, weight, base function) per block
         alpha = self.conditioning_alpha
         self._cond = None
         self._row_weights = None
@@ -316,9 +317,8 @@ class BenchmarkInstance:
                 for p in parts
             ])
         else:
-            if alpha != 1.0:
-                self._cond = np.concatenate(
-                    [conditioning_weights(p.size, alpha) for p in parts])
+            self._cond = np.concatenate(
+                [conditioning_weights(p.size, alpha) for p in parts])
             fn = _DISPATCH[self.base]
             self._terms = [(a, b, p.weight, fn) for (a, b), p in zip(spans, parts)]
 
@@ -352,13 +352,10 @@ class BenchmarkInstance:
     def _evaluate_group(self, x: np.ndarray) -> np.ndarray:
         """Values of the rows of x, an (m, dimension) array with m <= G."""
         m = len(x)
-        if not self._rotations:
-            z = np.take(x, self._gather, axis=1)
-        else:
-            padded = np.zeros((G, self._gather.size))
-            z = padded[:m]
-            # the index is in range; "clip" fills out unbuffered, unlike "raise"
-            np.take(x, self._gather, axis=1, out=z, mode="clip")
+        padded = np.zeros((G, self._gather.size))
+        z = padded[:m]
+        # the index is in range; "clip" fills out unbuffered, unlike "raise"
+        np.take(x, self._gather, axis=1, out=z, mode="clip")
         z -= self._shift
         for a, b, rotation in self._rotations:
             if _row_major(b - a):
@@ -373,8 +370,7 @@ class BenchmarkInstance:
             z *= self._row_weights
             total = z.sum(axis=1)
         else:
-            if self._cond is not None:
-                z *= self._cond
+            z *= self._cond
             total = np.zeros(m)
             for a, b, weight, fn in self._terms:
                 total += weight * fn(z[:, a:b])

@@ -165,9 +165,8 @@ def cmd_run(args) -> int:
         raise ValueError("--checkpoints must be comma-separated integers, "
                          f"got {args.checkpoints!r}") from None
 
-    base = HybridConfig(checkpoints=checkpoints, seed=args.seed)
-    if args.budget_scale != 1.0:
-        base = scaled(base, args.budget_scale)
+    base = scaled(HybridConfig(checkpoints=checkpoints, seed=args.seed),
+                  args.budget_scale)
     base.validate()
     budget = fe_budget(base)
 

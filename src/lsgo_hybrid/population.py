@@ -69,10 +69,6 @@ class Population:
         return self.x.shape[1]
 
     @property
-    def worst_fitness(self) -> float:
-        return float(self.fitness[self._worst])
-
-    @property
     def best_index(self) -> int:
         return int(np.argmin(self.fitness))
 

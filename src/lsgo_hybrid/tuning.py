@@ -56,7 +56,6 @@ class TunerConfig:
     inner_budget: int = 30_000
     probes_per_eval: int = 3
     seed: int = 0
-    population_size: int = HybridConfig.population_size  # pool of the probed runs
 
     def validate(self):
         if self.ga_population < 2:
@@ -65,9 +64,7 @@ class TunerConfig:
             raise ValueError("ga_generations must not be negative")
         if self.probes_per_eval < 1:
             raise ValueError("probes_per_eval must be at least 1")
-        if self.population_size < 4:
-            raise ValueError("population_size must be at least 4")
-        _probe_split(self.inner_budget, self.population_size)
+        _probe_split(self.inner_budget)
 
 
 def read_param_vector(payload, where: str) -> ParamVector:
@@ -99,8 +96,8 @@ def load_specialist_params(function_id: str) -> ParamVector:
     return read_param_vector(table[function_id], f"{_PARAMS_FILE} entry {function_id}")
 
 
-def _probe_split(inner_budget: int, population_size: int) -> tuple[int, int]:
-    """(harmony, DE) evaluations of a probe run.
+def _probe_split(inner_budget: int) -> tuple[int, int]:
+    """(harmony, DE) evaluations of a probe run at `run`'s pool.
 
     The differential phase gets the largest whole number of sweeps not
     exceeding two thirds of the budget; the harmony phase takes the rest,
@@ -109,6 +106,7 @@ def _probe_split(inner_budget: int, population_size: int) -> tuple[int, int]:
     that share larger than the pool: else no harmony iteration runs and
     `par` cannot act on the probe's fitness.
     """
+    population_size = HybridConfig.population_size
     de_evals = ((2 * inner_budget // 3) // population_size) * population_size
     harmony_evals = inner_budget - de_evals
     if de_evals < population_size:
@@ -121,16 +119,14 @@ def _probe_split(inner_budget: int, population_size: int) -> tuple[int, int]:
     return harmony_evals, de_evals
 
 
-def probe_config(params: ParamVector, inner_budget: int,
-                 population_size: int, seed: int) -> HybridConfig:
-    """Single-cycle hybrid config consuming exactly inner_budget evaluations,
-    split between the phases by `_probe_split`."""
-    harmony_evals, de_evals = _probe_split(inner_budget, population_size)
+def probe_config(params: ParamVector, inner_budget: int, seed: int) -> HybridConfig:
+    """Single-cycle hybrid config at `run`'s pool consuming exactly
+    inner_budget evaluations, split between the phases by `_probe_split`."""
+    harmony_evals, de_evals = _probe_split(inner_budget)
     config = HybridConfig(
-        population_size=population_size,
         outer_iterations=1,
         harmony=HarmonyParams(max_iterations=harmony_evals, par=params.par),
-        de=DeParams(max_iterations=de_evals // population_size,
+        de=DeParams(max_iterations=de_evals // HybridConfig.population_size,
                     cr=params.cr, f=params.f),
         checkpoints=(1,),
         seed=seed,
@@ -143,8 +139,7 @@ def _probe_fitness(instance: BenchmarkInstance, params: ParamVector,
                    config: TunerConfig, probe_seeds: np.ndarray) -> float:
     total = 0.0
     for probe_seed in probe_seeds:
-        cfg = probe_config(params, config.inner_budget,
-                           config.population_size, int(probe_seed))
+        cfg = probe_config(params, config.inner_budget, int(probe_seed))
         result = run(instance.fresh_copy(), cfg)
         total += result.final_best.fitness
     return total / len(probe_seeds)

@@ -262,8 +262,7 @@ def test_criterion_8_tuner_contract():
     with criterion(8, "parameter tuner contract"):
         instance = make_instance("F5", 10, 0)
         config = TunerConfig(ga_population=4, ga_generations=0,
-                             inner_budget=61, probes_per_eval=1,
-                             seed=11, population_size=20)
+                             inner_budget=401, probes_per_eval=1, seed=11)
         vector, fitness = tune(instance.fresh_copy(), config)
         for value, (lo, hi) in zip((vector.par, vector.cr, vector.f),
                                    PARAM_BOUNDS):
@@ -282,14 +281,13 @@ def test_criterion_8_tuner_contract():
         scores = []
         for genome in genomes:
             seeds = rng.integers(0, 2**63, size=1)
-            cfg = probe_config(ParamVector(*genome), 61, 20, int(seeds[0]))
+            cfg = probe_config(ParamVector(*genome), 401, int(seeds[0]))
             scores.append(run(instance.fresh_copy(), cfg).final_best.fitness)
         best = int(np.argmin(scores))
         assert vector == ParamVector(*genomes[best])
         assert fitness == scores[best]
 
         evolved = TunerConfig(ga_population=4, ga_generations=2,
-                              inner_budget=61, probes_per_eval=1,
-                              seed=11, population_size=20)
+                              inner_budget=401, probes_per_eval=1, seed=11)
         _, evolved_fitness = tune(instance.fresh_copy(), evolved)
         assert evolved_fitness <= fitness

@@ -94,8 +94,9 @@ def test_run_is_deterministic_apart_from_wall_time(tmp_path):
 
 
 def test_run_parallel_matches_serial(tmp_path):
+    # --parallel 0 takes one worker per usable CPU
     stripped = []
-    for name, workers in (("ser", "1"), ("par", "2")):
+    for name, workers in (("ser", "1"), ("par", "2"), ("all", "0")):
         out = tmp_path / name
         args = [a for a in TINY_RUN]
         args[args.index("--parallel") + 1] = workers
@@ -105,7 +106,7 @@ def test_run_parallel_matches_serial(tmp_path):
         stripped.append([
             [c for k, c in enumerate(row) if k != wall] for row in rows
         ])
-    assert stripped[0] == stripped[1]
+    assert stripped[0] == stripped[1] == stripped[2]
 
 
 def test_run_rows_sorted_by_function_then_seed(tmp_path):
@@ -208,7 +209,6 @@ def test_cli_defaults_are_the_config_defaults():
     assert (tune.generations, tune.ga_population, tune.probes,
             tune.inner_budget) == (tuner.ga_generations, tuner.ga_population,
                                    tuner.probes_per_eval, tuner.inner_budget)
-    assert tuner.population_size == lsgo_hybrid.HybridConfig().population_size
     run = parser.parse_args(["run", "--functions", "F1"])
     checkpoints = tuple(int(c) for c in run.checkpoints.split(","))
     assert checkpoints == lsgo_hybrid.HybridConfig().checkpoints
@@ -321,7 +321,9 @@ def test_stats_has_no_fixture_option(tmp_path, capsys):
     ("algorithm,F1,F2\nalpha,1.0,5.0\nbeta,inf,4.0\n", "row 3, column F1"),
     ("algorithm,F1,F1\nalpha,1.0,5.0\nbeta,2.0,4.0\n", "row 1, column 3"),
     ("algorithm,metric,F1\nalpha,median,1.0\nalpha,best,oops\n", "row 3, column F1"),
-], ids=["one-field-row", "nan", "inf", "repeated-column", "other-metric"])
+    ("algorithm,metric,F1,F2\nalpha,best,1.0,5.0\nbeta,best,2.0,4.0\n",
+     "no median rows found"),
+], ids=["one-field-row", "nan", "inf", "repeated-column", "other-metric", "no-median"])
 def test_stats_rejects_malformed_table(tmp_path, capsys, text, where):
     src = tmp_path / "broken.csv"
     src.write_text(text)
@@ -604,6 +606,16 @@ def test_audit_refuses_a_row_of_another_experiment(tmp_path, column, value):
     with open(out / "runs.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(runs)
     with pytest.raises(ValueError, match=rf"{column} {value} in .* line 5 is not line 2's"):
+        audit_results(out / "runs.csv", out / "summary.csv", 2)
+
+
+def test_audit_refuses_a_runs_file_of_only_its_header(tmp_path):
+    out = tmp_path / "exp"
+    assert main(TINY_RUN + ["--functions", "F1", "--out", str(out)]) == 0
+    header = _read(out / "runs.csv")[:1]
+    with open(out / "runs.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(header)
+    with pytest.raises(ValueError, match="^audit: runs file has no rows$"):
         audit_results(out / "runs.csv", out / "summary.csv", 2)
 
 

@@ -116,11 +116,11 @@ def test_improves_on_separable_quadratic():
 def test_replacement_targets_the_worst_only():
     pool = _pool(size=10, dim=5, seed=21)
     rng = np.random.default_rng(22)
-    worst_before = pool.worst_fitness
+    worst_before = pool.fitness.max()
     harmony_run(pool, HarmonyParams(max_iterations=300), sphere, rng,
                 bounds=(-10.0, 10.0))
     # the worst can only improve, never degrade
-    assert pool.worst_fitness <= worst_before
+    assert pool.fitness.max() <= worst_before
 
 
 def test_draw_layout_is_pinned():

@@ -43,6 +43,10 @@ def test_scaled_five_percent_budget():
     assert fe_budget(scaled(HybridConfig(), 0.05)) == 150_000
 
 
+def test_scaled_by_one_is_the_config_itself():
+    assert scaled(HybridConfig(), 1.0) == HybridConfig()
+
+
 def test_scaled_floors_iteration_counts_at_one():
     config = scaled(HybridConfig(), 1e-9)
     assert config.harmony.max_iterations == 1
@@ -111,6 +115,10 @@ def test_checkpoints_keyed_by_evaluation_count():
     result = run(make_instance("F1", 10, 0), config)
     assert [_fe_label(c * config.per_cycle, fe_budget(config))
             for c in config.checkpoints] == ["fe_90", "fe_final"]
+    # the default config gives the paper's three columns
+    default = HybridConfig()
+    assert [_fe_label(c * default.per_cycle, fe_budget(default))
+            for c in default.checkpoints] == ["fe_120k", "fe_600k", "fe_final"]
     assert len(result.trace) == 2 * config.outer_iterations + 1
     assert result.trace[2 * config.checkpoints[-1]] == result.final_best.fitness
 
@@ -263,6 +271,8 @@ def test_config_validation():
         _tiny(checkpoints=(2, 1)).validate()
     with pytest.raises(ValueError):
         _tiny(pop=3).validate()
+    with pytest.raises(ValueError, match="outer_iterations must be at least 1"):
+        HybridConfig(outer_iterations=0).validate()
     _tiny().validate()
 
 

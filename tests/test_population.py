@@ -1,4 +1,5 @@
-"""Where `Population.offer_batches` ends a batch, read off an index array."""
+"""The `Population` constructor's shape check, and where
+`Population.offer_batches` ends a batch, read off an index array."""
 
 import numpy as np
 import pytest
@@ -29,6 +30,12 @@ def _batches(reads):
 @pytest.fixture(autouse=True)
 def batch_of_four(monkeypatch):
     monkeypatch.setattr(population, "BATCH", 4)
+
+
+@pytest.mark.parametrize("n", [_SIZE - 1, _SIZE + 1])
+def test_a_fitness_vector_of_another_length_is_refused(n):
+    with pytest.raises(ValueError, match="n fitness values"):
+        Population(np.zeros((_SIZE, 3)), np.zeros(n))
 
 
 def test_reading_the_row_of_rank_k_minus_1_ends_the_batch_before_k():

@@ -21,8 +21,8 @@ from lsgo_hybrid.tuning import (
 
 
 def _tiny_tuner(**overrides):
-    base = dict(ga_population=3, ga_generations=0, inner_budget=61,
-                probes_per_eval=1, seed=0, population_size=20)
+    base = dict(ga_population=3, ga_generations=0, inner_budget=401,
+                probes_per_eval=1, seed=0)
     base.update(overrides)
     return TunerConfig(**base)
 
@@ -83,39 +83,46 @@ _REFUSALS = {"sweep": "too small for one differential sweep",
              "harmony": "leaves no harmony iteration"}
 
 
+POOL = HybridConfig().population_size
+
+
 @pytest.mark.parametrize("inner_budget, pool, verdict", [
-    (29, 20, "sweep"), (40, 20, "harmony"), (41, 20, "ok"), (60, 20, "harmony"),
-    (61, 20, "ok"), (600, 200, "harmony"), (601, 200, "ok"),
+    (299, POOL, "sweep"), (300, POOL, "harmony"), (401, POOL, "ok"),
+    (600, POOL, "harmony"), (601, POOL, "ok"),
 ])
 def test_probe_split_needs_a_sweep_and_a_harmony_iteration(inner_budget, pool,
                                                            verdict):
     # the pool's evaluation is charged to the harmony share, so the share
     # must exceed the pool for one harmony iteration to run
-    tuner = _tiny_tuner(inner_budget=inner_budget, population_size=pool)
+    tuner = _tiny_tuner(inner_budget=inner_budget)
     vector = ParamVector(0.4, 0.9, 0.5)
     if verdict == "ok":
         tuner.validate()
-        cfg = probe_config(vector, inner_budget, pool, seed=0)
+        cfg = probe_config(vector, inner_budget, seed=0)
         assert cfg.harmony.max_iterations > pool
     else:
         with pytest.raises(ValueError, match=_REFUSALS[verdict]):
             tuner.validate()
         with pytest.raises(ValueError, match=_REFUSALS[verdict]):
-            probe_config(vector, inner_budget, pool, seed=0)
+            probe_config(vector, inner_budget, seed=0)
 
 
-def _accepted(inner_budget, pool):
+def test_probe_runs_at_the_pool_of_run():
+    cfg = probe_config(ParamVector(0.4, 0.9, 0.5), 601, seed=0)
+    assert cfg.population_size == POOL
+
+
+def _accepted(inner_budget):
     try:
-        _tiny_tuner(inner_budget=inner_budget, population_size=pool).validate()
+        _tiny_tuner(inner_budget=inner_budget).validate()
     except ValueError:
         return False
     return True
 
 
 def test_probe_at_the_smallest_accepted_budget_runs_a_harmony_iteration(monkeypatch):
-    pool = 20
-    smallest = next(b for b in range(1, 10 * pool) if _accepted(b, pool))
-    assert smallest == 41
+    smallest = next(b for b in range(1, 10 * POOL) if _accepted(b))
+    assert smallest == 401
     spent = []
 
     def counting(*args, **kwargs):
@@ -124,29 +131,29 @@ def test_probe_at_the_smallest_accepted_budget_runs_a_harmony_iteration(monkeypa
 
     monkeypatch.setattr(hybrid, "harmony_run", counting)
     inst = make_instance("F1", 10, 0)
-    run(inst, probe_config(ParamVector(0.4, 0.9, 0.5), smallest, pool, seed=0))
+    run(inst, probe_config(ParamVector(0.4, 0.9, 0.5), smallest, seed=0))
     assert spent == [1]
     assert inst.eval_count == smallest
 
 
 def test_probe_config_budget_is_exact():
     vector = ParamVector(0.4, 0.9, 0.5)
-    cfg = probe_config(vector, 30_000, 200, seed=1)
+    cfg = probe_config(vector, 30_000, seed=1)
     assert fe_budget(cfg) == 30_000
     assert cfg.harmony.max_iterations == 10_000
     assert cfg.de.max_iterations == 100
     assert cfg.harmony.par == 0.4
     assert cfg.de.cr == 0.9 and cfg.de.f == 0.5
 
-    cfg = probe_config(vector, 777, 20, seed=1)
+    cfg = probe_config(vector, 777, seed=1)
     assert fe_budget(cfg) == 777
 
 
 def test_probe_run_consumes_exactly_the_inner_budget():
     inst = make_instance("F1", 10, 0)
-    cfg = probe_config(ParamVector(0.4, 0.9, 0.5), 600, 20, seed=2)
+    cfg = probe_config(ParamVector(0.4, 0.9, 0.5), 601, seed=2)
     run(inst, cfg)
-    assert inst.eval_count == 600
+    assert inst.eval_count == 601
 
 
 def test_tune_output_in_bounds_and_deterministic():
@@ -175,8 +182,7 @@ def test_zero_generations_returns_best_of_initial_population():
         seeds = rng.integers(0, 2**63, size=config.probes_per_eval)
         total = 0.0
         for s in seeds:
-            cfg = probe_config(ParamVector(*genes), config.inner_budget,
-                               config.population_size, int(s))
+            cfg = probe_config(ParamVector(*genes), config.inner_budget, int(s))
             total += run(inst.fresh_copy(), cfg).final_best.fitness
         outcomes.append(total / len(seeds))
     best = int(np.argmin(outcomes))
