@@ -24,7 +24,7 @@ from .tuning import (
     tune,
 )
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 __all__ = [
     "BenchmarkInstance",

@@ -104,22 +104,9 @@ def _resolve_params(source: str, function_id: str, dimension: int) -> ParamVecto
                     f"but the run uses {key} {value!r}"
                 )
         return params
-    if source.startswith("explicit:"):
-        where = f"--params {source}"
-        parts = source[len("explicit:"):].split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{where} must be three comma-separated values: "
-                             "explicit:PAR,CR,F")
-        values = {}
-        for key, text in zip(("par", "cr", "f"), parts):
-            try:
-                values[key] = float(text)
-            except ValueError:
-                raise ValueError(f"{where} has non-numeric {key} {text!r}") from None
-        return read_param_vector(values, where)
     raise ValueError(
         f"unknown --params source {source!r}; "
-        "use table2b, tuned:FILE, or explicit:PAR,CR,F"
+        "use table2b or tuned:FILE (a JSON object with par, cr and f)"
     )
 
 
@@ -301,19 +288,8 @@ def cmd_tune(args) -> int:
     vector, fitness = tune(instance, config)
     out = _out_dir(args)
     path = out / f"tuned_{args.function}_D{args.dim}.json"
-    payload = {
-        "function_id": args.function,
-        "dimension": args.dim,
-        "par": vector.par,
-        "cr": vector.cr,
-        "f": vector.f,
-        "probe_fitness": fitness,
-        "seed": args.seed,
-        "ga_population": config.ga_population,
-        "ga_generations": config.ga_generations,
-        "inner_budget": config.inner_budget,
-        "probes_per_eval": config.probes_per_eval,
-    }
+    payload = {"function_id": args.function, "dimension": args.dim,
+               **asdict(vector), "probe_fitness": fitness, **asdict(config)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -354,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--budget-scale", type=float, default=1.0,
                        help="scale both phases' iteration counts")
     p_run.add_argument("--params", default="table2b",
-                       help="table2b | tuned:FILE | explicit:PAR,CR,F")
+                       help="table2b | tuned:FILE")
     p_run.add_argument("--checkpoints",
                        default=",".join(map(str, HybridConfig().checkpoints)),
                        help="outer-cycle indices to record, comma separated")

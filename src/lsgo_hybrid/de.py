@@ -34,7 +34,7 @@ class DeParams:
         for name, (lo, hi) in (("cr", CR_RANGE), ("f", F_RANGE)):
             v = getattr(self, name)
             if not lo <= v <= hi:
-                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {v}")
+                raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
 
 
 def _distinct_indices(u: np.ndarray, pool_size: int) -> np.ndarray:

@@ -34,7 +34,7 @@ class HarmonyParams:
             raise ValueError("max_iterations must be non-negative")
         lo, hi = PAR_RANGE
         if not lo <= self.par <= hi:
-            raise ValueError(f"par must lie in [{lo:g}, {hi:g}], got {self.par}")
+            raise ValueError(f"par={self.par} outside [{lo}, {hi}]")
 
 
 def hmcr_schedule(iteration, max_iterations: int):

@@ -13,14 +13,13 @@ import hashlib
 import io
 import math
 from functools import lru_cache
-from importlib import resources
 
 from ..benchmarks import FUNCTION_IDS
+from ..data import read_bytes as _read_bundled
 from .ranking import MedianMatrix
 
 METRICS = ("best", "median", "worst", "mean", "stddev")
 
-_DATA_PACKAGE = "lsgo_hybrid.data"
 _CSV_NAME = "reference_results.csv"
 _HASH_NAME = "reference_results.sha256"
 
@@ -72,10 +71,6 @@ def read_results(text: str, source: str) -> dict[str, MedianMatrix]:
         values.append(parsed)
     return {metric: MedianMatrix(algorithms, list(functions), values)
             for metric, (algorithms, values) in tables.items()}
-
-
-def _read_bundled(name: str) -> bytes:
-    return resources.files(_DATA_PACKAGE).joinpath(name).read_bytes()
 
 
 @lru_cache(maxsize=1)

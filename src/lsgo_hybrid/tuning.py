@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from importlib import resources
 
 import numpy as np
 
 from .benchmarks.instance import BenchmarkInstance, _seed_sequence
+from .data import read_bytes
 from .de import CR_RANGE, F_RANGE, DeParams
 from .harmony import PAR_RANGE, HarmonyParams
 from .hybrid import HybridConfig, fe_budget, run
@@ -29,7 +29,6 @@ _MUTATION_RATE = 0.1
 _MUTATION_SIGMA_FRACTION = 0.05
 _TOURNAMENT_SIZE = 2
 
-_DATA_PACKAGE = "lsgo_hybrid.data"
 _PARAMS_FILE = "specialist_params.json"
 
 
@@ -40,13 +39,6 @@ class ParamVector:
     par: float
     cr: float
     f: float
-
-    def __post_init__(self):
-        for value, (lo, hi), name in zip(
-            (self.par, self.cr, self.f), PARAM_BOUNDS, ("par", "cr", "f")
-        ):
-            if not (lo <= value <= hi):
-                raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
 
 @dataclass
@@ -69,7 +61,8 @@ class TunerConfig:
 
 def read_param_vector(payload, where: str) -> ParamVector:
     """The triple of a JSON object; `where` names its source in the error
-    raised for a non-object or a missing, non-numeric or out-of-range field."""
+    raised for a non-object or a missing, non-numeric or out-of-range field.
+    The ranges are those that `HarmonyParams` and `DeParams` validate."""
     if not isinstance(payload, dict):
         raise ValueError(f"{where} must hold a JSON object, "
                          f"not a {type(payload).__name__}")
@@ -82,15 +75,16 @@ def read_param_vector(payload, where: str) -> ParamVector:
             raise ValueError(f"{where} has non-numeric {key} {value!r}")
         values[key] = float(value)
     try:
-        return ParamVector(**values)
+        HarmonyParams(par=values["par"]).validate()
+        DeParams(cr=values["cr"], f=values["f"]).validate()
     except ValueError as exc:
         raise ValueError(f"{where} has {exc}") from None
+    return ParamVector(**values)
 
 
 def load_specialist_params(function_id: str) -> ParamVector:
     """Bundled tuned triple for one benchmark function."""
-    text = resources.files(_DATA_PACKAGE).joinpath(_PARAMS_FILE).read_text("utf-8")
-    table = json.loads(text)
+    table = json.loads(read_bytes(_PARAMS_FILE))
     if function_id not in table:
         raise KeyError(f"no tuned parameters for {function_id!r}; have {list(table)}")
     return read_param_vector(table[function_id], f"{_PARAMS_FILE} entry {function_id}")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from importlib.resources import files
 from pathlib import Path
 
@@ -22,7 +23,12 @@ from lsgo_hybrid.cli import (
 )
 from lsgo_hybrid.hybrid import HybridConfig, final_stats, run, scaled
 from lsgo_hybrid.stats import METRICS, read_results
-from lsgo_hybrid.tuning import hybrid_config_for, load_specialist_params
+from lsgo_hybrid.tuning import (
+    ParamVector,
+    TunerConfig,
+    hybrid_config_for,
+    load_specialist_params,
+)
 
 TINY_RUN = ["run", "--dim", "10", "--runs", "2", "--seed", "3",
             "--budget-scale", "0.002", "--parallel", "1"]
@@ -215,18 +221,14 @@ def test_cli_defaults_are_the_config_defaults():
     assert run.parallel == 1
 
 
-def test_run_explicit_params(tmp_path):
-    out = tmp_path / "explicit"
-    assert main(TINY_RUN + ["--functions", "F1", "--params",
-                            "explicit:0.5,0.8,0.6", "--out", str(out)]) == 0
-    assert (out / "runs.csv").exists()
-
-
-def test_run_rejects_bad_params_source(tmp_path, capsys):
-    code = main(TINY_RUN + ["--functions", "F1", "--params", "mystery",
+@pytest.mark.parametrize("source", ["mystery", "explicit:0.5,0.8,0.6"])
+def test_run_rejects_bad_params_source(tmp_path, capsys, source):
+    code = main(TINY_RUN + ["--functions", "F1", "--params", source,
                             "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "unknown --params source" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: unknown --params source {source!r}; "
+        "use table2b or tuned:FILE (a JSON object with par, cr and f)\n")
 
 
 def test_stats_bundled_table_scores_imhs_first(tmp_path):
@@ -348,6 +350,12 @@ def test_tune_deterministic_output(tmp_path):
     assert 0.0 <= data["par"] <= 1.0
     assert 0.0 <= data["cr"] <= 1.0
     assert 0.0 <= data["f"] <= 2.0
+    tuner_fields = {f.name for f in fields(TunerConfig)}
+    assert set(data) == ({"function_id", "dimension", "probe_fitness"}
+                         | {f.name for f in fields(ParamVector)} | tuner_fields)
+    assert TunerConfig(**{k: data[k] for k in tuner_fields}) == TunerConfig(
+        ga_population=3, ga_generations=0, inner_budget=601, probes_per_eval=1,
+        seed=3)
 
 
 def test_tuned_params_feed_back_into_run(tmp_path):
@@ -397,25 +405,22 @@ def test_run_rejects_malformed_tuned_file(tmp_path, capsys, text, field):
     assert field in err
 
 
-@pytest.mark.parametrize("params, message", [
-    ("tuned:{tuned}", "tuned file {tuned} has par=1.2 outside [0.0, 1.0]"),
-    ("explicit:0.5,abc,0.5", "--params explicit:0.5,abc,0.5 has non-numeric cr 'abc'"),
-    ("explicit:0.5,1.5,0.5", "--params explicit:0.5,1.5,0.5 has cr=1.5 outside [0.0, 1.0]"),
-    ("explicit:0.5,0.5,-1", "--params explicit:0.5,0.5,-1 has f=-1.0 outside [0.0, 2.0]"),
-    ("explicit:0.5,0.5", "--params explicit:0.5,0.5 must be three comma-separated values"),
-], ids=["tuned-out-of-range", "explicit-non-numeric", "explicit-out-of-range",
-        "explicit-negative-f", "explicit-two-values"])
-def test_run_names_the_source_of_a_refused_params_value(tmp_path, capsys, params,
+@pytest.mark.parametrize("text, message", [
+    ('{"par": 1.2, "cr": 0.5, "f": 0.5}', "has par=1.2 outside [0.0, 1.0]"),
+    ('{"par": 0.5, "cr": 1.5, "f": 0.5}', "has cr=1.5 outside [0.0, 1.0]"),
+    ('{"par": 0.5, "cr": 0.5, "f": -1}', "has f=-1.0 outside [0.0, 2.0]"),
+], ids=["tuned-out-of-range", "tuned-cr-out-of-range", "tuned-negative-f"])
+def test_run_names_the_source_of_a_refused_params_value(tmp_path, capsys, text,
                                                          message):
     tuned = tmp_path / "tuned.json"
-    tuned.write_text('{"par": 1.2, "cr": 0.5, "f": 0.5}')
+    tuned.write_text(text)
     out = tmp_path / "exp"
     out.mkdir()
     earlier = b"function_id,dim,seed\r\nF1,10,0\r\n"
     (out / "runs.csv").write_bytes(earlier)
-    assert main(TINY_RUN + ["--functions", "F1", "--params", params.format(tuned=tuned),
+    assert main(TINY_RUN + ["--functions", "F1", "--params", f"tuned:{tuned}",
                             "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message.format(tuned=tuned)}")
+    assert capsys.readouterr().err == f"error: tuned file {tuned} {message}\n"
     assert (out / "runs.csv").read_bytes() == earlier
 
 
@@ -456,9 +461,17 @@ def test_config_hash_follows_tuned_file_values(tmp_path):
 
 
 def test_config_hash_ignores_how_the_values_were_given(tmp_path):
-    tuned = _run_hash(tmp_path, "t", _tuned(tmp_path, "t.json", 0.9))
-    explicit = _run_hash(tmp_path, "e", "explicit:0.3,0.9,0.5")
-    assert tuned == explicit
+    # the hash is of the resolved triple: a hand-written file and a tune-style
+    # file with its provenance and GA fields give one hash
+    by_hand = tmp_path / "hand.json"
+    by_hand.write_text('{"par": 0.3, "cr": 0.9, "f": 0.5}')
+    tuned = tmp_path / "tuned_F1_D10.json"
+    tuned.write_text(json.dumps({
+        "function_id": "F1", "dimension": 10, "par": 0.3, "cr": 0.9, "f": 0.5,
+        "probe_fitness": 12.5, "ga_population": 3, "ga_generations": 0,
+        "inner_budget": 601, "probes_per_eval": 1, "seed": 7}))
+    assert (_run_hash(tmp_path, "h", f"tuned:{by_hand}")
+            == _run_hash(tmp_path, "t", f"tuned:{tuned}"))
 
 
 def test_pyproject_version_matches_package():
@@ -645,8 +658,10 @@ def _summary(tmp_path, name, functions, params="table2b"):
 
 
 def test_stats_ranks_the_summaries_of_several_runs(tmp_path, monkeypatch):
+    tuned = tmp_path / "tuned.json"
+    tuned.write_text('{"par": 0.2, "cr": 0.5, "f": 0.7}')
     paths = [_summary(tmp_path, "a", "F1,F4"),
-             _summary(tmp_path, "b", "F1,F4", "explicit:0.2,0.5,0.7")]
+             _summary(tmp_path, "b", "F1,F4", f"tuned:{tuned}")]
     ranked = []
     real_full_report = lsgo_hybrid.cli.full_report
     monkeypatch.setattr(lsgo_hybrid.cli, "full_report",

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from lsgo_hybrid import hybrid
 from lsgo_hybrid.benchmarks import FUNCTION_IDS, make_instance
-from lsgo_hybrid.harmony import harmony_run
+from lsgo_hybrid.de import DeParams
+from lsgo_hybrid.harmony import HarmonyParams, harmony_run
 from lsgo_hybrid.hybrid import HybridConfig, fe_budget, run
 from lsgo_hybrid.tuning import (
     PARAM_BOUNDS,
@@ -58,13 +60,27 @@ def test_read_param_vector_checks_each_field():
 
 
 def test_param_vector_bounds_enforced():
-    with pytest.raises(ValueError):
-        ParamVector(par=1.2, cr=0.5, f=0.5)
-    with pytest.raises(ValueError):
-        ParamVector(par=0.5, cr=-0.1, f=0.5)
-    with pytest.raises(ValueError):
-        ParamVector(par=0.5, cr=0.5, f=2.1)
-    ParamVector(par=0.0, cr=1.0, f=2.0)
+    # the run configs are the one judge of the triple's ranges
+    for params, message in [
+        (HarmonyParams(par=1.2), "par=1.2 outside [0.0, 1.0]"),
+        (DeParams(cr=-0.1), "cr=-0.1 outside [0.0, 1.0]"),
+        (DeParams(f=2.1), "f=2.1 outside [0.0, 2.0]"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            params.validate()
+    HarmonyParams(par=0.0).validate()
+    HarmonyParams(par=1.0).validate()
+    DeParams(cr=0.0, f=0.0).validate()
+    DeParams(cr=1.0, f=2.0).validate()
+    # a vector built in Python is judged when a run validates its config,
+    # before the first evaluation
+    base = HybridConfig(population_size=20, outer_iterations=1,
+                        harmony=HarmonyParams(max_iterations=30),
+                        de=DeParams(max_iterations=1), checkpoints=(1,))
+    inst = make_instance("F1", 10, 0)
+    with pytest.raises(ValueError, match=r"^par=1\.2 outside \[0\.0, 1\.0\]$"):
+        run(inst, hybrid_config_for(ParamVector(1.2, 0.5, 0.5), base))
+    assert inst.eval_count == 0
 
 
 def test_tuner_config_validation():
